@@ -12,6 +12,10 @@ it to that contract end to end:
   million-request scale.  Only then is anything timed.
 * **Wall clock.**  Warm (decision-screen tables built), the stream path
   must beat the object path by >= 5x on the same million-request trace.
+  Cold — each path once in a fresh subprocess, imports and screen table
+  construction included — the stream path must still beat the object
+  path (it once lost to it by ~2x while its tables were built from dense
+  grid sums).
 * **Constant parent memory.**  The streaming-fold reduce
   (:class:`~repro.analysis.frame.StreamingFrameReducer` with a spill
   directory) must keep the parent's peak RSS flat as the replication
@@ -20,8 +24,9 @@ it to that contract end to end:
   ``VmHWM`` from ``/proc/self/status`` — no third-party profiler needed.
 
 Writes ``results/BENCH_trace.json`` (committed, and uploaded as a CI
-artifact).  ``REPRO_TRACE_SCALE_REQUESTS`` scales the trace down for CI
-smoke runs; the speedup and RSS gates stay the same.
+artifact), including the cold run's screen ``table_info()``.
+``REPRO_TRACE_SCALE_REQUESTS`` scales the trace down for CI smoke runs;
+the speedup, cold and RSS gates stay the same.
 """
 
 from __future__ import annotations
@@ -93,27 +98,53 @@ with open("/proc/self/status") as status:
 """
 
 
-def _peak_rss_kb(rows: int, spill: bool) -> int:
-    """Peak RSS (KiB on Linux) of a fresh streaming-fold subprocess."""
+_COLD_CHILD = """
+import dataclasses, json, sys, time
+start = time.perf_counter()
+from repro.cac.facs.system import FuzzyAdmissionControlSystem
+from repro.simulation.config import BatchExperimentConfig
+from repro.simulation.trace import run_trace_arrivals
+
+requests, seed, batch_size = (int(arg) for arg in sys.argv[1:4])
+stream = sys.argv[4] == "stream"
+config = BatchExperimentConfig(request_count=requests, seed=seed)
+run_trace_arrivals(config, batch_size=batch_size, stream=stream)
+seconds = time.perf_counter() - start
+# The trace's controller shares its screen (and the tables it built) with
+# every default-configured FACS system in the process.
+screen = FuzzyAdmissionControlSystem().decision_screen if stream else None
+info = dataclasses.asdict(screen.table_info()) if screen is not None else None
+print(json.dumps({"seconds": seconds, "table_info": info}))
+"""
+
+
+def _child(script: str, *args: object) -> str:
+    """Last stdout line of a fresh Python subprocess running ``script``."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
     out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            _RSS_CHILD,
-            str(rows),
-            str(RSS_CHUNK_ROWS),
-            "spill" if spill else "memory",
-        ],
+        [sys.executable, "-c", script, *map(str, args)],
         env=env,
         check=True,
         capture_output=True,
         text=True,
     )
-    return int(out.stdout.strip().splitlines()[-1])
+    return out.stdout.strip().splitlines()[-1]
+
+
+def _peak_rss_kb(rows: int, spill: bool) -> int:
+    """Peak RSS (KiB on Linux) of a fresh streaming-fold subprocess."""
+    return int(
+        _child(_RSS_CHILD, rows, RSS_CHUNK_ROWS, "spill" if spill else "memory")
+    )
+
+
+def _cold_run(stream: bool) -> dict:
+    """Wall clock (imports included) of one trace run in a fresh subprocess."""
+    path = "stream" if stream else "object"
+    return json.loads(_child(_COLD_CHILD, REQUESTS, SEED, BATCH_SIZE, path))
 
 
 def _timed(fn) -> float:
@@ -165,6 +196,13 @@ def test_trace_scale_gate(benchmark):
     speedup = object_seconds / stream_seconds
 
     # ------------------------------------------------------------------
+    # Cold: each path once in a fresh process, screen tables included.
+    cold_stream = _cold_run(stream=True)
+    cold_object = _cold_run(stream=False)
+    cold_stream_seconds = cold_stream["seconds"]
+    cold_object_seconds = cold_object["seconds"]
+
+    # ------------------------------------------------------------------
     # Constant parent memory in streaming-fold mode: 8x the replications
     # must not grow peak RSS past the tolerance (spill keeps the parent
     # holding one chunk at a time).
@@ -189,7 +227,11 @@ def test_trace_scale_gate(benchmark):
             "object_path_seconds": round(object_seconds, 4),
             "stream_path_seconds": round(stream_seconds, 4),
             "speedup": round(speedup, 2),
+            "cold_object_path_seconds": round(cold_object_seconds, 4),
+            "cold_stream_path_seconds": round(cold_stream_seconds, 4),
+            "cold_speedup": round(cold_object_seconds / cold_stream_seconds, 2),
         },
+        "screen_tables": cold_stream["table_info"],
         "equivalence": {
             "batch_sizes_checked": [1, 16, 1024],
             "full_scale_byte_identical": True,
@@ -216,13 +258,18 @@ def test_trace_scale_gate(benchmark):
     benchmark.extra_info["results_file"] = str(RESULTS_PATH)
     print(
         f"\ntrace scale ({REQUESTS} requests): object {object_seconds:.2f}s, "
-        f"stream {stream_seconds:.2f}s, speedup {speedup:.2f}x; "
+        f"stream {stream_seconds:.2f}s, speedup {speedup:.2f}x; cold object "
+        f"{cold_object_seconds:.2f}s, cold stream {cold_stream_seconds:.2f}s; "
         f"streaming-fold RSS x{rss_growth:.2f} over 8x rows "
         f"-> {RESULTS_PATH.name}"
     )
     assert speedup >= MIN_SPEEDUP, (
         f"stream path only {speedup:.2f}x faster than the object oracle "
         f"(gate: {MIN_SPEEDUP}x)"
+    )
+    assert cold_stream_seconds < cold_object_seconds, (
+        f"cold stream path ({cold_stream_seconds:.2f}s) no faster than the cold "
+        f"object path ({cold_object_seconds:.2f}s) in a fresh process"
     )
     assert rss_growth <= MAX_RSS_GROWTH, (
         f"streaming-fold peak RSS grew {rss_growth:.2f}x over 8x rows "

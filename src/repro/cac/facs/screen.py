@@ -27,12 +27,16 @@ How a batch flows through the screen:
    endpoints are certified because triangular/trapezoidal memberships are
    quasiconcave — including ``Triangular``'s ``np.isclose`` peak band,
    which gets its own guard cells forced to an upper bound of 1), then
-   certified score bounds, collapsing to a per-cell verdict: accept,
-   reject, or ambiguous.  Cells whose verdict is ambiguous are split and
-   re-bounded adaptively, so the undecidable band shrinks to the region
-   where the score genuinely pins the threshold (e.g. the exact-zero
-   plateaus of symmetric surfaces).  Prefix sums answer "do all cells of
-   an interval agree?" in O(1).
+   certified score bounds from the closed-form clipped integrals of
+   :meth:`CentroidBoundTables.score_interval_direct` (one binary search
+   per cell and curve, no dense grid), collapsing to a per-cell verdict:
+   accept, reject, or ambiguous.  Ambiguous cells are split and re-bounded
+   adaptively, so the undecidable band shrinks to the region where the
+   score genuinely pins the threshold (e.g. the exact-zero plateaus of
+   symmetric surfaces); a midpoint probe — exact firing strengths plus the
+   closed-form centroid — marks such cells hopeless so no split budget is
+   spent on them.  Prefix sums answer "do all cells of an interval agree?"
+   in O(1).
 4. **Exact fallback.**  Rows whose correction interval spans disagreeing
    cells finish FLC1 exactly — reusing the firing strengths from step 1,
    and bit-identical because batched engine rows are independent; rows
@@ -44,6 +48,10 @@ How a batch flows through the screen:
 
 from __future__ import annotations
 
+import threading
+import time
+from dataclasses import dataclass
+
 import numpy as np
 
 from ...fuzzy.bounds import CentroidBoundTables
@@ -54,7 +62,7 @@ from ...fuzzy.operators import MINIMUM
 from .flc1 import FLC1
 from .flc2 import FLC2
 
-__all__ = ["DecisionScreen"]
+__all__ = ["DecisionScreen", "TableInfo"]
 
 #: Widening applied to per-cell membership-degree endpoints; generous cover
 #: for the one rounding step between a degree and its quasiconcave envelope.
@@ -76,8 +84,9 @@ _REFINE_ROUNDS = 10
 _REFINE_BOUNDS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _REFINE_BUDGET = 20_000
 _MIN_CELL_WIDTH = 1e-7
-#: An ambiguous cell whose *exact* midpoint score sits within this margin
-#: of the threshold is treated as hopeless and never split: certified
+#: An ambiguous cell whose midpoint score (closed form, ~1e-13 from the
+#: engine's) sits within this margin of the threshold is treated as
+#: hopeless and never split: certified
 #: bounds bottom out at the widening slack (~1e-9 relative), so such cells
 #: — e.g. the exact-zero plateaus of symmetric rule surfaces, where the
 #: float score is a ±1e-17 summation residue — can never be decided by
@@ -101,6 +110,17 @@ def _peak_interval(membership: object) -> tuple[float, float, list[float]]:
     raise ValueError(f"unsupported membership shape {type(membership).__name__}")
 
 
+@dataclass(frozen=True)
+class TableInfo:
+    """Build statistics of a :class:`DecisionScreen`'s tables."""
+
+    tables: int
+    cells: int
+    ambiguous_cells: int
+    #: Bound tables at construction plus every cell table built so far.
+    build_seconds: float
+
+
 class DecisionScreen:
     """Threshold decisions for FACS admission batches, byte-identical and fast.
 
@@ -110,6 +130,7 @@ class DecisionScreen:
     """
 
     def __init__(self, flc1: FLC1, flc2: FLC2, threshold: float):
+        started = time.perf_counter()
         eng1 = flc1.controller.engine
         eng2 = flc2.controller.engine
         # 8192 strength cells keep the per-request correction interval
@@ -157,6 +178,8 @@ class DecisionScreen:
             tuple[float, float],
             tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         ] = {}
+        self._stats_lock = threading.Lock()
+        self._build_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
     @classmethod
@@ -199,9 +222,24 @@ class DecisionScreen:
         key = (float(bandwidth), float(occupancy))
         cached = self._cells.get(key)
         if cached is None:
+            started = time.perf_counter()
             cached = self._build_cell_table(*key)
-            self._cells[key] = cached
+            with self._stats_lock:
+                self._cells[key] = cached
+                self._build_seconds += time.perf_counter() - started
         return cached
+
+    def table_info(self) -> TableInfo:
+        """Cell tables built so far, their cells, and the time spent building."""
+        with self._stats_lock:
+            decisions = [table[1] for table in self._cells.values()]
+            seconds = self._build_seconds
+        return TableInfo(
+            tables=len(decisions),
+            cells=sum(d.size for d in decisions),
+            ambiguous_cells=sum(int((d == -1).sum()) for d in decisions),
+            build_seconds=seconds,
+        )
 
     def _build_cell_table(
         self, bandwidth: float, occupancy: float
@@ -281,23 +319,26 @@ class DecisionScreen:
         bandwidth: float,
         occupancy: float,
     ) -> np.ndarray:
-        """Ambiguous cells whose exact midpoint score pins the threshold.
+        """Ambiguous cells whose midpoint score pins the threshold.
 
-        One exact engine row per ambiguous cell, batched — a build-time
-        probe that steers the split budget away from undecidable plateaus
-        and toward bands the bounds *can* still resolve.
+        Exact FLC2 firing strengths at each ambiguous cell's midpoint, then
+        the closed-form centroid — a build-time probe that steers the split
+        budget away from undecidable plateaus and toward bands the bounds
+        *can* still resolve.  Midpoints where nothing fires are not hopeless.
         """
         hopeless = np.zeros(cell_lo.size, dtype=bool)
         ambiguous = np.flatnonzero(decision == -1)
         if ambiguous.size:
-            mids = 0.5 * (cell_lo[ambiguous] + cell_hi[ambiguous])
-            scores = self._exact_scores(
-                mids,
+            strengths = self._flc2_strengths(
+                0.5 * (cell_lo[ambiguous] + cell_hi[ambiguous]),
                 np.full(ambiguous.size, bandwidth),
                 np.full(ambiguous.size, occupancy),
             )
-            hopeless[ambiguous] = (
-                np.abs(scores - self._threshold) <= _HOPELESS_MARGIN
+            scores, area = self._tables2.centroid(
+                self._eng2._term_strengths_batch(strengths, self._term_columns2)
+            )
+            hopeless[ambiguous] = (area > 0.0) & (
+                np.abs(np.clip(scores, -1.0, 1.0) - self._threshold) <= _HOPELESS_MARGIN
             )
         return hopeless
 
@@ -463,6 +504,16 @@ class DecisionScreen:
                 accepted[ambiguous] = scores > self._threshold
         return accepted
 
+    def _flc2_strengths(
+        self, corrections: np.ndarray, request_bus: np.ndarray, counters: np.ndarray
+    ) -> np.ndarray:
+        """Exact FLC2 rule firing strengths through the engine's batched path."""
+        eng = self._eng2
+        matrix = eng._batch_matrix(
+            {"Cv": corrections, "R": request_bus, "Cs": counters}
+        )
+        return eng._firing_strengths_batch(eng._fill_degrees_batch(matrix))
+
     def _exact_scores(
         self, corrections: np.ndarray, request_bus: np.ndarray, counters: np.ndarray
     ) -> np.ndarray:
@@ -474,11 +525,7 @@ class DecisionScreen:
         results are bit-identical because every step is shared.
         """
         eng = self._eng2
-        matrix = eng._batch_matrix(
-            {"Cv": corrections, "R": request_bus, "Cs": counters}
-        )
-        degrees = eng._fill_degrees_batch(matrix)
-        strengths = eng._firing_strengths_batch(degrees)
+        strengths = self._flc2_strengths(corrections, request_bus, counters)
         grouped = eng._grouped_consequent_plans["AR"]
         variable = eng._consequent_plans["AR"][2]
         aggregated = eng._aggregate_output_batch_grouped(strengths, grouped, "AR", 0)

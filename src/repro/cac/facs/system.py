@@ -208,6 +208,21 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         return self._config
 
     @property
+    def decision_screen(self) -> DecisionScreen | None:
+        """The certified screen behind :meth:`decide_columns`, or ``None``.
+
+        Built (or fetched from the shared cache) on first access; ``None``
+        when the controller pair falls outside the certified regime.
+        """
+        screen = self._screen
+        if screen is None:
+            screen = _shared_screen(
+                self._flc1, self._flc2, self._config.acceptance_threshold
+            )
+            self._screen = screen if screen is not None else _SCREEN_UNAVAILABLE
+        return screen if isinstance(screen, DecisionScreen) else None
+
+    @property
     def flc1(self) -> FLC1:
         return self._flc1
 
@@ -308,13 +323,8 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         engine, custom operators or membership shapes, …) fall back to the
         exact score path wholesale.
         """
-        screen = self._screen
-        if screen is None:
-            screen = _shared_screen(
-                self._flc1, self._flc2, self._config.acceptance_threshold
-            )
-            self._screen = screen if screen is not None else _SCREEN_UNAVAILABLE
-        if isinstance(screen, DecisionScreen):
+        screen = self.decision_screen
+        if screen is not None:
             try:
                 return screen.decide(
                     np.clip(speeds_kmh, *PAPER_SPEED_RANGE_KMH),
