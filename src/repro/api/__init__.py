@@ -40,7 +40,7 @@ Extension points are string-keyed registries (see
 :data:`SCENARIOS` for experiment defaults, :data:`COMPARISON_METRICS` for
 cross-scenario comparison columns, plus the engine and executor registries
 re-exported here.  Registering a controller makes it addressable from
-scenario JSON immediately — the per-cell sharded sweep and the
+scenario JSON immediately — the message-passing sharded sweep and the
 trace-driven workload kinds plug in through the same seams.
 """
 
@@ -109,7 +109,6 @@ from .scenario import (
     Scenario,
     ScenarioError,
     ServiceReplayScenario,
-    ShardedNetworkSweepScenario,
     SurfaceScenario,
     TraceArrivalsScenario,
     TuningScenario,
@@ -151,7 +150,6 @@ __all__ = [
     "SurfaceScenario",
     "FigureSweepScenario",
     "NetworkSweepScenario",
-    "ShardedNetworkSweepScenario",
     "CoupledShardedNetworkSweepScenario",
     "AblationScenario",
     "NetworkIntegrationScenario",

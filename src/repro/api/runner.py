@@ -44,7 +44,6 @@ from ..simulation.sweep import (
     SweepResult,
     run_coupled_sharded_network_sweep,
     run_network_sweep,
-    run_sharded_network_sweep,
 )
 from ..simulation.results import RunResult
 from ..simulation.trace import TraceRunResult, run_trace_arrivals
@@ -70,7 +69,6 @@ from .scenario import (
     Scenario,
     ScenarioError,
     ServiceReplayScenario,
-    ShardedNetworkSweepScenario,
     SurfaceScenario,
     TraceArrivalsScenario,
     TuningScenario,
@@ -351,7 +349,7 @@ def _run_figure_sweep(scenario: FigureSweepScenario) -> tuple[str, dict[str, Any
 
 
 def _network_sweep_spec_for(scenario: NetworkSweepScenario):
-    """Shared spec construction of the coupled and sharded network sweeps."""
+    """Shared spec construction of the coupled and coupled-sharded network sweeps."""
     controllers = {
         name: controller_factory(name, engine=scenario.engine)
         for name in scenario.controllers
@@ -364,7 +362,7 @@ def _network_sweep_spec_for(scenario: NetworkSweepScenario):
         mean_speed_kmh=scenario.mean_speed_kmh,
         seed=scenario.seed,
         # Only the coupled-sharded scenario kind carries a per-cell
-        # capacity map; the others keep the uniform default.
+        # capacity map; the plain sweep keeps the uniform default.
         cell_capacities=getattr(scenario, "cell_capacities", None),
         workload=resolve_workload(scenario.workload),
     )
@@ -381,20 +379,6 @@ def _run_network_sweep(scenario: NetworkSweepScenario) -> tuple[str, dict[str, A
     spec = _network_sweep_spec_for(scenario)
     result = run_network_sweep(spec, executor=_build_executor(scenario))
     return render_network_sweep(result), _sweep_metrics(result)
-
-
-@_handles(ShardedNetworkSweepScenario)
-def _run_sharded_network_sweep(
-    scenario: ShardedNetworkSweepScenario,
-) -> tuple[str, dict[str, Any]]:
-    spec = _network_sweep_spec_for(scenario)
-    result = run_sharded_network_sweep(spec, executor=_build_executor(scenario))
-    metrics = _sweep_metrics(result)
-    # Provenance: this kind decomposes cells into independent runs, so
-    # handoff coupling is dropped by design — campaign comparisons against
-    # the coupled kinds must be able to see that from the report alone.
-    metrics["handoff_coupling"] = "dropped"
-    return render_network_sweep(result), metrics
 
 
 @_handles(CoupledShardedNetworkSweepScenario)

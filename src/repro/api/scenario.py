@@ -54,7 +54,6 @@ __all__ = [
     "SurfaceScenario",
     "FigureSweepScenario",
     "NetworkSweepScenario",
-    "ShardedNetworkSweepScenario",
     "CoupledShardedNetworkSweepScenario",
     "AblationScenario",
     "NetworkIntegrationScenario",
@@ -70,6 +69,11 @@ class ScenarioError(ValueError):
 
 #: ``kind`` discriminator → concrete scenario class.
 SCENARIO_KINDS: Registry[type] = Registry("scenario kind")
+
+#: Retired ``kind`` discriminators → the kind that replaced them.
+_RETIRED_KINDS: dict[str, str] = {
+    "network-sweep-sharded": "network-sweep-coupled-sharded",
+}
 
 
 def scenario_kind(name: str):
@@ -256,6 +260,11 @@ class Scenario:
         if kind is None:
             raise ScenarioError(
                 f"scenario payload needs a 'kind' key; known kinds: {list(SCENARIO_KINDS)}"
+            )
+        if kind in _RETIRED_KINDS:
+            raise ScenarioError(
+                f"scenario kind {kind!r} was retired; use {_RETIRED_KINDS[kind]!r}, "
+                f"which shards the topology per cell and keeps handoffs"
             )
         try:
             cls = SCENARIO_KINDS.get(kind)
@@ -472,38 +481,15 @@ class NetworkSweepScenario(Scenario):
         return "net-sweep"
 
 
-@scenario_kind("network-sweep-sharded")
-@dataclass(frozen=True)
-class ShardedNetworkSweepScenario(NetworkSweepScenario):
-    """Per-cell sharded variant of the multi-cell QoS sweep.
-
-    Instead of one coupled ``rings``-ring simulation per replication, every
-    cell of the topology runs as an *independent* single-cell simulation
-    (its own arrival stream, mobility and admission controller), and the
-    per-cell outputs are pooled into the point statistics.  The trade is
-    explicit: inter-cell handoff coupling is dropped, but the work
-    decomposes into ``cells x replications`` smaller tasks that fan over
-    the same executor backends — the scale-out path for large topologies
-    where a single coupled run is the bottleneck.  Cell 0 keeps the base
-    seed, so a ``rings=0`` sharded sweep reproduces the coupled sweep's
-    curves point for point (the result name carries a ``-sharded``
-    suffix).
-    """
-
-    @property
-    def slug(self) -> str:
-        return "net-sweep-sharded"
-
-
 @scenario_kind("network-sweep-coupled-sharded")
 @dataclass(frozen=True)
 class CoupledShardedNetworkSweepScenario(NetworkSweepScenario):
     """Message-passing sharded variant of the multi-cell QoS sweep.
 
-    Keeps the handoff coupling the independent-cell sharding drops: every
-    cell of the topology runs as its own shard worker and departing calls
-    travel between shards as explicit handoff messages, drained in a
-    canonical order at conservative time-window barriers.  ``executor``
+    Keeps the handoff coupling of the coupled sweep, but every cell of the
+    topology runs as its own shard worker and departing calls travel
+    between shards as explicit handoff messages, drained in a canonical
+    order at conservative time-window barriers.  ``executor``
     here selects the backend the *shards* run on within each replication
     (serial / thread / process), not a replication pool; results are
     byte-identical for every backend and worker count.  ``window_s``
@@ -943,11 +929,6 @@ def _surface_flc1_scenario() -> Scenario:
 @register_scenario("surface-flc2")
 def _surface_flc2_scenario() -> Scenario:
     return SurfaceScenario(surface="flc2")
-
-
-@register_scenario("net-sweep-sharded")
-def _net_sweep_sharded_scenario() -> Scenario:
-    return ShardedNetworkSweepScenario()
 
 
 @register_scenario("net-sweep-coupled-sharded")

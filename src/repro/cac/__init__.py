@@ -4,7 +4,6 @@ from .base import AdmissionController, AdmissionDecision, DecisionOutcome
 from .counters import CounterSnapshot, ServiceCounters
 from .complete_sharing import CompleteSharingController
 from .guard_channel import GuardChannelConfig, GuardChannelController
-from .fractional_guard import FractionalGuardConfig, FractionalGuardController
 from .threshold_policy import ThresholdPolicyConfig, ThresholdPolicyController
 from .facs import (
     FACSConfig,
@@ -25,8 +24,6 @@ __all__ = [
     "CompleteSharingController",
     "GuardChannelController",
     "GuardChannelConfig",
-    "FractionalGuardController",
-    "FractionalGuardConfig",
     "ThresholdPolicyController",
     "ThresholdPolicyConfig",
     "FuzzyAdmissionControlSystem",

@@ -1,16 +1,15 @@
 """The multi-cell cellular network.
 
 Builds a hexagonal layout of :class:`~repro.cellular.cell.Cell` objects,
-maintains the neighbour graph (via ``networkx``) and maps mobile-terminal
-positions to serving cells.  The Shadow Cluster Concept baseline also queries
-the network for the cells along a mobile's projected trajectory.
+answers neighbour queries from the axial coordinates and maps
+mobile-terminal positions to serving cells.  The Shadow Cluster Concept
+baseline also queries the network for the cells along a mobile's projected
+trajectory.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
-
-import networkx as nx
 
 from .cell import Cell
 from .geometry import HexCoordinate, Point, Vector, hex_spiral
@@ -32,7 +31,7 @@ def hex_cell_count(rings: int) -> int:
 
 
 class CellularNetwork:
-    """A hexagonal cellular network with a neighbour graph.
+    """A hexagonal cellular network.
 
     Parameters
     ----------
@@ -86,14 +85,6 @@ class CellularNetwork:
             self._cells[coordinate] = cell
             self._cells_by_id[index] = cell
 
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(self._cells_by_id)
-        for coordinate, cell in self._cells.items():
-            for neighbor_coord in coordinate.neighbors():
-                neighbor = self._cells.get(neighbor_coord)
-                if neighbor is not None:
-                    self._graph.add_edge(cell.cell_id, neighbor.cell_id)
-
     # ------------------------------------------------------------------
     @property
     def cell_count(self) -> int:
@@ -106,11 +97,6 @@ class CellularNetwork:
     @property
     def center_cell(self) -> Cell:
         return self._cells[HexCoordinate(0, 0)]
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The neighbour graph (node = cell id)."""
-        return self._graph
 
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.cells)
@@ -140,17 +126,10 @@ class CellularNetwork:
         return min(self.cells, key=lambda cell: cell.distance_to(position))
 
     def neighbors(self, cell_id: int) -> list[Cell]:
-        """Adjacent cells of a cell."""
-        if cell_id not in self._graph:
-            raise KeyError(f"no cell with id {cell_id}")
-        return [self._cells_by_id[nid] for nid in sorted(self._graph.neighbors(cell_id))]
-
-    def are_neighbors(self, cell_a: int, cell_b: int) -> bool:
-        return self._graph.has_edge(cell_a, cell_b)
-
-    def hop_distance(self, cell_a: int, cell_b: int) -> int:
-        """Number of cell-to-cell hops between two cells."""
-        return int(nx.shortest_path_length(self._graph, source=cell_a, target=cell_b))
+        """Adjacent cells of a cell inside the layout, sorted by id."""
+        coordinates = self.cell(cell_id).coordinate.neighbors()
+        adjacent = [self._cells[c] for c in coordinates if c in self._cells]
+        return sorted(adjacent, key=lambda cell: cell.cell_id)
 
     # ------------------------------------------------------------------
     def cells_along_heading(

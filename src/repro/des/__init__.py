@@ -1,27 +1,17 @@
 """A from-scratch discrete-event simulation kernel (replacement for SimPy).
 
 Provides an environment with a future-event list, generator-based processes,
-timeouts, composite events, counted resources, quantity containers, monitors
-and reproducible named random streams — the substrate on which the cellular
-network simulator (:mod:`repro.cellular`) and the experiment engine
-(:mod:`repro.simulation`) are built.
+timeouts, composite events and reproducible named random streams — the
+substrate on which the experiment engine (:mod:`repro.simulation`) runs the
+cellular network model (:mod:`repro.cellular`).  That model keeps bandwidth
+in per-cell ledgers and statistics in plain counters, so the kernel has no
+resource or monitor primitives.
 """
 
 from .environment import Environment, SimulationError
 from .events import AllOf, AnyOf, Event, EventState, Interruption, StopProcess, Timeout
-from .monitor import Counter, MonitorRegistry, Tally, TimeWeightedValue
 from .process import Process
 from .queue import EmptyQueueError, EventQueue, Priority, ScheduledItem
-from .resources import (
-    Container,
-    ContainerGet,
-    ContainerPut,
-    PriorityRequest,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-)
 from .rng import RandomStream, StreamFactory
 
 __all__ = [
@@ -39,18 +29,6 @@ __all__ = [
     "ScheduledItem",
     "EmptyQueueError",
     "Priority",
-    "Resource",
-    "Request",
-    "Release",
-    "PriorityResource",
-    "PriorityRequest",
-    "Container",
-    "ContainerGet",
-    "ContainerPut",
-    "Counter",
-    "Tally",
-    "TimeWeightedValue",
-    "MonitorRegistry",
     "RandomStream",
     "StreamFactory",
 ]

@@ -6,6 +6,14 @@ Gauss–Markov model, and active calls hand off between cells.  Each cell runs
 its own instance of the configured admission controller (as a real deployment
 would), and the run reports blocking, dropping and handoff statistics per
 controller.
+
+The per-cell body — arrivals, admission, the mobility lifecycle of an
+admitted call and handoff admission at a target cell — lives in one class,
+:class:`CellKernel`.  Both network engines drive it: the coupled
+:class:`NetworkSimulation` runs one kernel over every cell of the topology
+in a single event loop, and each :class:`~repro.simulation.shard.CellShard`
+runs one kernel over its own cell.  They differ only in what happens when a
+call crosses a cell boundary (see ``depart``).
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ..analysis.frame import FrameRow, network_output_row
 from ..cac.base import AdmissionController
@@ -29,13 +37,23 @@ from .config import NetworkExperimentConfig
 from .results import RunResult
 
 __all__ = [
+    "CellKernel",
+    "KernelOutcome",
     "NetworkRunOutput",
     "NetworkSimulation",
+    "fresh_controller",
+    "merge_outcomes",
+    "network_for",
     "run_network_experiment",
     "run_network_experiment_row",
 ]
 
 ControllerFactory = Callable[[], AdmissionController]
+
+#: ``depart(call, terminal, source, target, elapsed_s)``: hands a call that
+#: crossed from ``source`` into ``target`` to another kernel; the crossing
+#: call's lifecycle ends in this kernel.
+DepartHook = Callable[[Call, MobileTerminal, Cell, Cell, float], None]
 
 
 @dataclass(frozen=True)
@@ -61,30 +79,78 @@ class NetworkRunOutput:
         return self.handoff_failures / self.handoff_attempts
 
 
-class NetworkSimulation:
-    """Drives one multi-cell simulation run."""
+@dataclass(frozen=True)
+class KernelOutcome:
+    """Final statistics of one :class:`CellKernel`, summed by :func:`merge_outcomes`."""
 
-    def __init__(self, config: NetworkExperimentConfig, controller_factory: ControllerFactory):
+    controller: str
+    counters: tuple[int, ...]
+    handoff_attempts: int
+    handoff_failures: int
+    completed_calls: int
+    dropped_calls: int
+    occupancy_time_integral: float
+    last_occupancy_sample: float
+    #: Admitted calls still holding bandwidth in the kernel's cells.
+    calls_in_service: int = 0
+    #: Per-service-class counters (workload runs only), flattened
+    #: class-major over :data:`repro.analysis.frame.CLASS_COUNTER_FIELDS`.
+    class_values: tuple[float, ...] = ()
+
+
+def network_for(config: NetworkExperimentConfig) -> CellularNetwork:
+    """The hexagonal topology a network config describes."""
+    return CellularNetwork(
+        rings=config.rings,
+        cell_radius_km=config.cell_radius_km,
+        capacity_bu=config.capacity_bu,
+        cell_capacities=config.cell_capacities,
+    )
+
+
+def fresh_controller(controller_factory: ControllerFactory) -> AdmissionController:
+    """A new, reset controller instance for one cell."""
+    controller = controller_factory()
+    controller.reset()
+    return controller
+
+
+class CellKernel:
+    """The call lifecycle of a set of cells sharing one event loop.
+
+    Owns the new-call arrival process of each started cell, admission of
+    new calls, the per-step mobility of every admitted call (completion and
+    the out-of-coverage drop included) and handoff admission at a target
+    cell.  The environment, the named random streams, the metrics
+    collector, the call-id source and the per-cell controllers are
+    injected, so the same kernel serves a whole topology or one shard.
+
+    ``depart`` decides what a boundary crossing means.  Without it the
+    target cell is in this kernel: the handoff is admitted synchronously
+    and the call's lifecycle continues in the same process.  With it the
+    call is handed to ``depart`` and its lifecycle ends here.
+    """
+
+    def __init__(
+        self,
+        config: NetworkExperimentConfig,
+        env: Environment,
+        streams: StreamFactory,
+        metrics: MetricsCollector,
+        call_ids: Iterator[int],
+        controllers: Mapping[int, AdmissionController],
+        network: CellularNetwork,
+        depart: DepartHook | None = None,
+    ):
         self._config = config
-        self._streams = StreamFactory(master_seed=config.stream_master_seed)
-        # Per-run sequential ids (not the process-global counter), so run
-        # outputs are a pure function of the config in any process, thread
-        # or execution order — the same discipline as the batch experiment.
-        self._call_ids = itertools.count(1)
-        self._env = Environment()
-        self._network = CellularNetwork(
-            rings=config.rings,
-            cell_radius_km=config.cell_radius_km,
-            capacity_bu=config.capacity_bu,
-            cell_capacities=config.cell_capacities,
-        )
-        self._controllers: dict[int, AdmissionController] = {}
-        for cell in self._network:
-            controller = controller_factory()
-            controller.reset()
-            self._controllers[cell.cell_id] = controller
-        self._controller_name = next(iter(self._controllers.values())).name
-        self._metrics = MetricsCollector()
+        self._env = env
+        self._streams = streams
+        self._metrics = metrics
+        self._call_ids = call_ids
+        self._controllers = controllers
+        self._network = network
+        self._depart = depart
+        self._cells: Sequence[Cell] = ()
         self._mobility = GaussMarkovModel(
             mean_speed_kmh=config.mean_speed_kmh,
             update_interval_s=config.mobility_update_s,
@@ -96,17 +162,85 @@ class NetworkSimulation:
         self._occupancy_time_integral = 0.0
         self._last_occupancy_sample = 0.0
 
-    # ------------------------------------------------------------------
-    @property
-    def network(self) -> CellularNetwork:
-        return self._network
+    def start(self, cells: Sequence[Cell]) -> None:
+        """Start the arrival process of each cell, then the occupancy sampler."""
+        self._cells = cells
+        for cell in cells:
+            self._env.process(self._arrivals(cell), name=f"arrivals-{cell.cell_id}")
+        self._env.process(self._occupancy_sampler(cells), name="occupancy-sampler")
 
-    @property
-    def environment(self) -> Environment:
-        return self._env
+    def follow(
+        self, call: Call, terminal: MobileTerminal, cell: Cell, elapsed: float = 0.0
+    ) -> None:
+        """Start the lifecycle of a call admitted in ``cell``."""
+        self._env.process(
+            self._lifecycle(call, terminal, cell, elapsed), name=f"call-{call.call_id}"
+        )
 
-    def controller_for(self, cell: Cell) -> AdmissionController:
-        return self._controllers[cell.cell_id]
+    def release(self, call: Call, cell: Cell) -> None:
+        """Free the call's bandwidth in ``cell`` and tell its controller."""
+        cell.base_station.release(call)
+        self._controllers[cell.cell_id].on_released(call, cell.base_station, self._env.now)
+
+    def admit_handoff(
+        self,
+        call: Call,
+        terminal: MobileTerminal,
+        target: Cell,
+        source: Cell | None = None,
+    ) -> bool:
+        """Ask ``target``'s controller to take over an active call.
+
+        ``source`` is the cell still holding the call, released once the
+        decision is made; a call already released by its source passes
+        ``None``.  A denied call is dropped and counted as finished.
+        """
+        now = self._env.now
+        self._handoff_attempts += 1
+        controller = self._controllers[target.cell_id]
+        station = target.base_station
+        request = Call(
+            service=call.service,
+            bandwidth_units=call.bandwidth_units,
+            call_type=CallType.HANDOFF,
+            user_state=self._observe(terminal, target),
+            requested_at=now,
+            holding_time_s=call.holding_time_s,
+            call_id=next(self._call_ids),
+        )
+        self._metrics.record_request(request)
+        decision = controller.decide(request, station, now)
+        accepted = decision.accepted and station.can_fit(call.bandwidth_units)
+        self._metrics.record_decision(request, accepted)
+        if source is not None:
+            self.release(call, source)
+        if accepted:
+            station.allocate(call)
+            call.handoff(now, target.cell_id)
+            controller.on_admitted(call, station, now)
+            return True
+        call.drop(now, reason=f"handoff to cell {target.cell_id} denied")
+        self._handoff_failures += 1
+        self._dropped += 1
+        self._metrics.record_completion(call)
+        return False
+
+    def outcome(self) -> KernelOutcome:
+        """The kernel's statistics so far."""
+        workload = self._config.workload
+        class_names = () if workload is None else workload.class_names()
+        return KernelOutcome(
+            controller=next(iter(self._controllers.values())).name,
+            counters=self._metrics.snapshot().as_counters(),
+            handoff_attempts=self._handoff_attempts,
+            handoff_failures=self._handoff_failures,
+            completed_calls=self._completed,
+            dropped_calls=self._dropped,
+            occupancy_time_integral=self._occupancy_time_integral,
+            last_occupancy_sample=self._last_occupancy_sample,
+            calls_in_service=sum(cell.base_station.ledger.active_calls for cell in self._cells),
+            class_values=self._metrics.class_counter_values(class_names),
+        )
 
     # ------------------------------------------------------------------
     def _observe(self, terminal: MobileTerminal, cell: Cell) -> UserState:
@@ -126,81 +260,7 @@ class NetworkSimulation:
         return MobileTerminal(position=position, speed_kmh=speed, heading_deg=heading)
 
     # -- processes -------------------------------------------------------
-    def _call_lifecycle(self, call: Call, terminal: MobileTerminal, cell: Cell):
-        """Process controlling one admitted call: mobility, handoffs, completion."""
-        mobility_rng = self._streams.stream("mobility")
-        elapsed = 0.0
-        current_cell = cell
-        while elapsed < call.holding_time_s:
-            step = min(self._config.mobility_update_s, call.holding_time_s - elapsed)
-            yield self._env.timeout(step)
-            elapsed += step
-            self._mobility.update(terminal, step, mobility_rng)
-            new_cell = self._network.serving_cell(terminal.position)
-            if new_cell is None:
-                # Out of coverage: treat as a dropped call.
-                current_cell.base_station.release(call)
-                call.drop(self._env.now, reason="left network coverage")
-                self._controllers[current_cell.cell_id].on_released(
-                    call, current_cell.base_station, self._env.now
-                )
-                self._dropped += 1
-                self._metrics.record_completion(call)
-                return
-            if new_cell.cell_id != current_cell.cell_id:
-                self._handoff_attempts += 1
-                outcome_cell = self._attempt_handoff(call, terminal, current_cell, new_cell)
-                if outcome_cell is None:
-                    self._handoff_failures += 1
-                    self._dropped += 1
-                    self._metrics.record_completion(call)
-                    return
-                current_cell = outcome_cell
-        # Holding time elapsed: normal completion.
-        current_cell.base_station.release(call)
-        call.complete(self._env.now)
-        self._controllers[current_cell.cell_id].on_released(
-            call, current_cell.base_station, self._env.now
-        )
-        self._completed += 1
-        self._metrics.record_completion(call)
-
-    def _attempt_handoff(
-        self,
-        call: Call,
-        terminal: MobileTerminal,
-        source: Cell,
-        target: Cell,
-    ) -> Cell | None:
-        """Try to move an active call to ``target``; return the new cell or None if dropped."""
-        controller = self._controllers[target.cell_id]
-        handoff_request = Call(
-            service=call.service,
-            bandwidth_units=call.bandwidth_units,
-            call_type=CallType.HANDOFF,
-            user_state=self._observe(terminal, target),
-            requested_at=self._env.now,
-            holding_time_s=call.holding_time_s,
-            call_id=next(self._call_ids),
-        )
-        self._metrics.record_request(handoff_request)
-        decision = controller.decide(handoff_request, target.base_station, self._env.now)
-        accepted = decision.accepted and target.base_station.can_fit(call.bandwidth_units)
-        self._metrics.record_decision(handoff_request, accepted)
-        source_controller = self._controllers[source.cell_id]
-        if accepted:
-            source.base_station.release(call)
-            source_controller.on_released(call, source.base_station, self._env.now)
-            target.base_station.allocate(call)
-            call.handoff(self._env.now, target.cell_id)
-            controller.on_admitted(call, target.base_station, self._env.now)
-            return target
-        source.base_station.release(call)
-        source_controller.on_released(call, source.base_station, self._env.now)
-        call.drop(self._env.now, reason=f"handoff to cell {target.cell_id} denied")
-        return None
-
-    def _cell_arrival_process(self, cell: Cell):
+    def _arrivals(self, cell: Cell):
         """New-call arrivals at one cell (Poisson, or the workload's model)."""
         arrival_rng = self._streams.stream(f"arrivals-{cell.cell_id}")
         class_rng = self._streams.stream(f"class-{cell.cell_id}")
@@ -217,6 +277,8 @@ class NetworkSimulation:
                 arrival_rng, self._config.arrival_rate_per_cell_per_s
             )
         )
+        controller = self._controllers[cell.cell_id]
+        station = cell.base_station
         while True:
             if sampler is None:
                 yield self._env.timeout(
@@ -238,65 +300,141 @@ class NetworkSimulation:
                 holding_time_s=holding_rng.exponential(spec.mean_holding_time_s),
                 call_id=next(self._call_ids),
             )
-            controller = self._controllers[cell.cell_id]
             self._metrics.record_request(call)
-            decision = controller.decide(call, cell.base_station, self._env.now)
-            accepted = decision.accepted and cell.base_station.can_fit(call.bandwidth_units)
+            decision = controller.decide(call, station, self._env.now)
+            accepted = decision.accepted and station.can_fit(call.bandwidth_units)
             self._metrics.record_decision(call, accepted)
             if accepted:
-                cell.base_station.allocate(call)
+                station.allocate(call)
                 call.admit(self._env.now, cell.cell_id)
-                controller.on_admitted(call, cell.base_station, self._env.now)
-                self._env.process(
-                    self._call_lifecycle(call, terminal, cell),
-                    name=f"call-{call.call_id}",
-                )
+                controller.on_admitted(call, station, self._env.now)
+                self.follow(call, terminal, cell)
             else:
                 call.block(self._env.now, cell.cell_id)
 
-    def _occupancy_sampler(self):
-        """Sample network occupancy every mobility interval for the time average."""
+    def _lifecycle(self, call: Call, terminal: MobileTerminal, cell: Cell, elapsed: float):
+        """One admitted call: mobility, handoffs, completion."""
+        mobility_rng = self._streams.stream("mobility")
+        while elapsed < call.holding_time_s:
+            step = min(self._config.mobility_update_s, call.holding_time_s - elapsed)
+            yield self._env.timeout(step)
+            elapsed += step
+            self._mobility.update(terminal, step, mobility_rng)
+            target = self._network.serving_cell(terminal.position)
+            if target is cell:
+                continue
+            if target is None:
+                # Out of coverage: treat as a dropped call.
+                self.release(call, cell)
+                call.drop(self._env.now, reason="left network coverage")
+                self._dropped += 1
+                self._metrics.record_completion(call)
+                return
+            if self._depart is not None:
+                self._depart(call, terminal, cell, target, elapsed)
+                return
+            if not self.admit_handoff(call, terminal, target, source=cell):
+                return
+            cell = target
+        # Holding time elapsed: normal completion.
+        self.release(call, cell)
+        call.complete(self._env.now)
+        self._completed += 1
+        self._metrics.record_completion(call)
+
+    def _occupancy_sampler(self, cells: Sequence[Cell]):
+        """Sample the cells' total occupancy every mobility interval."""
         while self._env.now < self._config.duration_s:
             yield self._env.timeout(self._config.mobility_update_s)
-            self._occupancy_time_integral += (
-                self._network.total_used_bu() * self._config.mobility_update_s
-            )
+            used = sum(cell.base_station.used_bu for cell in cells)
+            self._occupancy_time_integral += used * self._config.mobility_update_s
             self._last_occupancy_sample = self._env.now
 
-    # ------------------------------------------------------------------
+
+def merge_outcomes(
+    config: NetworkExperimentConfig, outcomes: Sequence[KernelOutcome], cells: int
+) -> NetworkRunOutput:
+    """Sum kernel outcomes (in cell order) into one run's output."""
+    counters = tuple(
+        sum(outcome.counters[index] for outcome in outcomes)
+        for index in range(len(CallMetrics.COUNTER_FIELDS))
+    )
+    last_sample = max(outcome.last_occupancy_sample for outcome in outcomes)
+    elapsed = max(last_sample, config.mobility_update_s)
+    integral = sum(outcome.occupancy_time_integral for outcome in outcomes)
+    result = RunResult(
+        controller=outcomes[0].controller,
+        metrics=CallMetrics.from_counters(counters),
+        parameters={
+            "rings": float(config.rings),
+            "cells": float(cells),
+            "arrival_rate_per_cell_per_s": config.arrival_rate_per_cell_per_s,
+            "duration_s": config.duration_s,
+        },
+        seed=config.seed,
+    )
+    workload = config.workload
+    class_names = () if workload is None else workload.class_names()
+    class_values = tuple(
+        sum(outcome.class_values[index] for outcome in outcomes)
+        for index in range(len(outcomes[0].class_values))
+    )
+    return NetworkRunOutput(
+        result=result,
+        handoff_attempts=sum(o.handoff_attempts for o in outcomes),
+        handoff_failures=sum(o.handoff_failures for o in outcomes),
+        completed_calls=sum(o.completed_calls for o in outcomes),
+        dropped_calls=sum(o.dropped_calls for o in outcomes),
+        time_average_occupancy_bu=integral / elapsed,
+        class_names=class_names,
+        class_values=class_values,
+    )
+
+
+class NetworkSimulation:
+    """Drives one multi-cell simulation run: one kernel over every cell."""
+
+    def __init__(self, config: NetworkExperimentConfig, controller_factory: ControllerFactory):
+        self._config = config
+        self._env = Environment()
+        self._network = network_for(config)
+        self._controllers = {
+            cell.cell_id: fresh_controller(controller_factory) for cell in self._network
+        }
+        self._kernel = CellKernel(
+            config,
+            self._env,
+            StreamFactory(master_seed=config.stream_master_seed),
+            MetricsCollector(),
+            # Per-run sequential ids (not the process-global counter), so
+            # run outputs are a pure function of the config in any process,
+            # thread or execution order.
+            itertools.count(1),
+            self._controllers,
+            self._network,
+        )
+        #: Admitted calls still in service when :meth:`run` returned.
+        self.calls_in_service = 0
+
+    @property
+    def network(self) -> CellularNetwork:
+        return self._network
+
+    @property
+    def environment(self) -> Environment:
+        return self._env
+
+    def controller_for(self, cell: Cell) -> AdmissionController:
+        return self._controllers[cell.cell_id]
+
     def run(self) -> NetworkRunOutput:
         """Execute the simulation and return aggregated results."""
-        for cell in self._network:
-            self._env.process(self._cell_arrival_process(cell), name=f"arrivals-{cell.cell_id}")
-        self._env.process(self._occupancy_sampler(), name="occupancy-sampler")
+        self._kernel.start(self._network.cells)
         # Run well past the arrival horizon so in-flight calls finish.
         self._env.run(until=self._config.duration_s * 3.0)
-
-        metrics: CallMetrics = self._metrics.snapshot()
-        elapsed = max(self._last_occupancy_sample, self._config.mobility_update_s)
-        result = RunResult(
-            controller=self._controller_name,
-            metrics=metrics,
-            parameters={
-                "rings": float(self._config.rings),
-                "cells": float(self._network.cell_count),
-                "arrival_rate_per_cell_per_s": self._config.arrival_rate_per_cell_per_s,
-                "duration_s": self._config.duration_s,
-            },
-            seed=self._config.seed,
-        )
-        workload = self._config.workload
-        class_names = () if workload is None else workload.class_names()
-        return NetworkRunOutput(
-            result=result,
-            handoff_attempts=self._handoff_attempts,
-            handoff_failures=self._handoff_failures,
-            completed_calls=self._completed,
-            dropped_calls=self._dropped,
-            time_average_occupancy_bu=self._occupancy_time_integral / elapsed,
-            class_names=class_names,
-            class_values=self._metrics.class_counter_values(class_names),
-        )
+        outcome = self._kernel.outcome()
+        self.calls_in_service = outcome.calls_in_service
+        return merge_outcomes(self._config, [outcome], self._network.cell_count)
 
 
 def run_network_experiment(

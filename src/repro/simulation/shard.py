@@ -12,6 +12,9 @@ the topology runs as its own *shard* — an actor owning its cell, its
 controller instance, its DES environment and its named random streams —
 and handoffs travel between shards as explicit :class:`HandoffMessage`
 values through per-edge queues.  No state is ever shared between shards.
+A shard runs the coupled engine's :class:`~repro.simulation.engine.CellKernel`
+over its one cell; only what a boundary crossing does differs (the kernel's
+``depart`` hook turns it into a message).
 
 Determinism is the headline guarantee, achieved with a conservative
 time-window protocol:
@@ -45,7 +48,6 @@ arrival schedules are stream-identical to the coupled run at any rings.
 from __future__ import annotations
 
 import itertools
-import math
 import multiprocessing
 import os
 import pickle
@@ -55,15 +57,23 @@ from dataclasses import dataclass
 from ..analysis.frame import FrameRow, network_output_row
 from ..cellular.calls import Call, CallType
 from ..cellular.cell import Cell
-from ..cellular.geometry import HexCoordinate, Point, hex_spiral
-from ..cellular.metrics import CallMetrics, MetricsCollector
-from ..cellular.mobility import GaussMarkovModel, MobileTerminal, UserState
+from ..cellular.geometry import Point
+from ..cellular.metrics import MetricsCollector
+from ..cellular.mobility import MobileTerminal
 from ..cellular.network import hex_cell_count
 from ..cellular.traffic import ServiceClass
 from ..des.environment import Environment
-from ..des.rng import RandomStream, StreamFactory
+from ..des.rng import StreamFactory
 from .config import NetworkExperimentConfig
-from .engine import ControllerFactory, NetworkRunOutput
+from .engine import (
+    CellKernel,
+    ControllerFactory,
+    KernelOutcome,
+    NetworkRunOutput,
+    fresh_controller,
+    merge_outcomes,
+    network_for,
+)
 from .executor import (
     ProcessPoolSweepExecutor,
     SerialExecutor,
@@ -72,12 +82,10 @@ from .executor import (
     ThreadPoolSweepExecutor,
     executor_by_name,
 )
-from .results import RunResult
 
 __all__ = [
     "HandoffMessage",
     "CellShard",
-    "ShardOutcome",
     "CoupledShardedNetworkSimulation",
     "run_coupled_sharded_network_experiment",
     "run_coupled_sharded_network_experiment_row",
@@ -123,35 +131,20 @@ class HandoffMessage:
         return (self.time, self.source_cell, self.call_id)
 
 
-@dataclass(frozen=True)
-class ShardOutcome:
-    """Final per-shard statistics, summed by the coordinator."""
-
-    cell_id: int
-    controller: str
-    counters: tuple[int, ...]
-    handoff_attempts: int
-    handoff_failures: int
-    completed_calls: int
-    dropped_calls: int
-    occupancy_time_integral: float
-    last_occupancy_sample: float
-    #: Per-service-class counters (workload runs only), flattened
-    #: class-major over :data:`repro.analysis.frame.CLASS_COUNTER_FIELDS`.
-    class_values: tuple[float, ...] = ()
-
-
 class CellShard:
     """One cell of the topology running as an independent actor.
 
-    Owns a single :class:`~repro.cellular.cell.Cell`, a fresh controller
-    instance, its own :class:`~repro.des.environment.Environment` and a
+    Runs a :class:`~repro.simulation.engine.CellKernel` over a single cell
+    with a fresh controller instance, its own
+    :class:`~repro.des.environment.Environment` and a
     :class:`~repro.des.rng.StreamFactory` seeded with the run's master
     seed — so the per-cell named streams (``arrivals-<id>``,
     ``class-<id>``, ``terminal-<id>``, ``holding-<id>``) are *the same
-    streams* the coupled engine draws for that cell.  The only interface
-    to the rest of the network is :meth:`step_to`: inbound handoff
-    messages in, outbound handoff messages back.
+    streams* the coupled engine draws for that cell.  The shard knows the
+    whole static topology (a :class:`~repro.cellular.network.CellularNetwork`
+    built from the config) to classify a moved terminal, but touches only
+    its own cell.  The only interface to the rest of the network is
+    :meth:`step_to`: inbound handoff messages in, outbound messages back.
     """
 
     def __init__(
@@ -159,46 +152,22 @@ class CellShard:
         cell_id: int,
         config: NetworkExperimentConfig,
         controller_factory: ControllerFactory,
-        spiral: list[HexCoordinate] | None = None,
     ):
-        self._config = config
-        if spiral is None:
-            spiral = hex_spiral(HexCoordinate(0, 0), config.rings)
-        #: Static topology knowledge: axial coordinate -> cell id for the
-        #: whole layout, enough to classify a moved terminal as staying,
-        #: handing off, or leaving coverage — without any other shard's state.
-        self._cell_ids_by_coordinate = {
-            coordinate: index for index, coordinate in enumerate(spiral, start=1)
-        }
-        self._cell = Cell(
-            coordinate=spiral[cell_id - 1],
-            radius_km=config.cell_radius_km,
-            capacity_bu=config.capacity_for(cell_id - 1),
-            cell_id=cell_id,
-        )
+        network = network_for(config)
+        self._cell = network.cell(cell_id)
         self._env = Environment()
-        self._streams = StreamFactory(master_seed=config.stream_master_seed)
-        self._call_ids = itertools.count(1)
-        controller = controller_factory()
-        controller.reset()
-        self._controller = controller
-        self._metrics = MetricsCollector()
-        self._mobility = GaussMarkovModel(
-            mean_speed_kmh=config.mean_speed_kmh,
-            update_interval_s=config.mobility_update_s,
-        )
-        self._handoff_attempts = 0
-        self._handoff_failures = 0
-        self._completed = 0
-        self._dropped = 0
-        self._occupancy_time_integral = 0.0
-        self._last_occupancy_sample = 0.0
         self._outbox: list[HandoffMessage] = []
-        # Same start order as the coupled engine: arrivals, then sampler.
-        self._env.process(
-            self._arrival_process(), name=f"arrivals-{cell_id}"
+        self._kernel = CellKernel(
+            config,
+            self._env,
+            StreamFactory(master_seed=config.stream_master_seed),
+            MetricsCollector(),
+            itertools.count((cell_id - 1) * _CALL_ID_NAMESPACE + 1),
+            {cell_id: fresh_controller(controller_factory)},
+            network,
+            depart=self._depart,
         )
-        self._env.process(self._occupancy_sampler(), name="occupancy-sampler")
+        self._kernel.start([self._cell])
 
     # ------------------------------------------------------------------
     @property
@@ -210,151 +179,35 @@ class CellShard:
         """True while this shard still has scheduled events."""
         return self._env.pending_events > 0
 
-    def _next_call_id(self) -> int:
-        return (self._cell.cell_id - 1) * _CALL_ID_NAMESPACE + next(self._call_ids)
+    def _depart(
+        self, call: Call, terminal: MobileTerminal, source: Cell, target: Cell, elapsed: float
+    ) -> None:
+        """Release a departing call locally and emit it as a message.
 
-    def _observe(self, terminal: MobileTerminal) -> UserState:
-        return terminal.observe(self._cell.base_station.position).clamped()
-
-    def _spawn_terminal(self, rng: RandomStream) -> MobileTerminal:
-        """Place a new mobile terminal uniformly within this shard's cell."""
-        radius = self._config.cell_radius_km * math.sqrt(rng.uniform(0.0, 1.0))
-        angle = rng.uniform(-180.0, 180.0)
-        offset_x = radius * math.cos(math.radians(angle))
-        offset_y = radius * math.sin(math.radians(angle))
-        center = self._cell.center
-        position = Point(center.x + offset_x, center.y + offset_y)
-        speed = max(
-            rng.normal(self._config.mean_speed_kmh, self._config.mean_speed_kmh / 3.0),
-            0.0,
-        )
-        heading = rng.angle_degrees()
-        return MobileTerminal(position=position, speed_kmh=speed, heading_deg=heading)
-
-    # -- processes -------------------------------------------------------
-    def _arrival_process(self):
-        """New-call arrivals — the coupled engine's per-cell body."""
-        cell = self._cell
-        arrival_rng = self._streams.stream(f"arrivals-{cell.cell_id}")
-        class_rng = self._streams.stream(f"class-{cell.cell_id}")
-        terminal_rng = self._streams.stream(f"terminal-{cell.cell_id}")
-        holding_rng = self._streams.stream(f"holding-{cell.cell_id}")
-        mix = self._config.effective_traffic_mix()
-        workload = self._config.workload
-        # Mirrors the coupled engine exactly: workload=None keeps the
-        # legacy draw sequence on the same per-cell stream.
-        sampler = (
-            None
-            if workload is None
-            else workload.arrival.sampler(
-                arrival_rng, self._config.arrival_rate_per_cell_per_s
+        The target shard decides admission at the next barrier.
+        """
+        self._kernel.release(call, source)
+        self._outbox.append(
+            HandoffMessage(
+                time=self._env.now,
+                source_cell=source.cell_id,
+                target_cell=target.cell_id,
+                call_id=call.call_id,
+                service=call.service,
+                bandwidth_units=call.bandwidth_units,
+                holding_time_s=call.holding_time_s,
+                elapsed_s=elapsed,
+                requested_at=call.requested_at,
+                handoff_count=call.handoff_count,
+                position_x=terminal.position.x,
+                position_y=terminal.position.y,
+                speed_kmh=terminal.speed_kmh,
+                heading_deg=terminal.heading_deg,
             )
         )
-        while True:
-            if sampler is None:
-                yield self._env.timeout(
-                    arrival_rng.exponential(1.0 / self._config.arrival_rate_per_cell_per_s)
-                )
-            else:
-                yield self._env.timeout(sampler.next_interarrival(self._env.now))
-            if self._env.now >= self._config.duration_s:
-                return
-            service = mix.sample_class(class_rng)
-            spec = mix.spec(service)
-            terminal = self._spawn_terminal(terminal_rng)
-            call = Call(
-                service=service,
-                bandwidth_units=spec.bandwidth_units,
-                call_type=CallType.NEW,
-                user_state=self._observe(terminal),
-                requested_at=self._env.now,
-                holding_time_s=holding_rng.exponential(spec.mean_holding_time_s),
-                call_id=self._next_call_id(),
-            )
-            self._metrics.record_request(call)
-            decision = self._controller.decide(call, cell.base_station, self._env.now)
-            accepted = decision.accepted and cell.base_station.can_fit(call.bandwidth_units)
-            self._metrics.record_decision(call, accepted)
-            if accepted:
-                cell.base_station.allocate(call)
-                call.admit(self._env.now, cell.cell_id)
-                self._controller.on_admitted(call, cell.base_station, self._env.now)
-                self._env.process(
-                    self._call_lifecycle(call, terminal),
-                    name=f"call-{call.call_id}",
-                )
-            else:
-                call.block(self._env.now, cell.cell_id)
 
-    def _call_lifecycle(self, call: Call, terminal: MobileTerminal, elapsed: float = 0.0):
-        """One admitted call: mobility, departure-by-message, completion."""
-        mobility_rng = self._streams.stream("mobility")
-        while elapsed < call.holding_time_s:
-            step = min(self._config.mobility_update_s, call.holding_time_s - elapsed)
-            yield self._env.timeout(step)
-            elapsed += step
-            self._mobility.update(terminal, step, mobility_rng)
-            coordinate = HexCoordinate.from_point(
-                terminal.position, self._config.cell_radius_km
-            )
-            target_id = self._cell_ids_by_coordinate.get(coordinate)
-            if target_id is None:
-                # Out of coverage: treat as a dropped call.
-                self._cell.base_station.release(call)
-                call.drop(self._env.now, reason="left network coverage")
-                self._controller.on_released(
-                    call, self._cell.base_station, self._env.now
-                )
-                self._dropped += 1
-                self._metrics.record_completion(call)
-                return
-            if target_id != self._cell.cell_id:
-                # Departing handoff: release locally and emit a message;
-                # the target shard decides admission at the next barrier.
-                self._cell.base_station.release(call)
-                self._controller.on_released(
-                    call, self._cell.base_station, self._env.now
-                )
-                self._outbox.append(
-                    HandoffMessage(
-                        time=self._env.now,
-                        source_cell=self._cell.cell_id,
-                        target_cell=target_id,
-                        call_id=call.call_id,
-                        service=call.service,
-                        bandwidth_units=call.bandwidth_units,
-                        holding_time_s=call.holding_time_s,
-                        elapsed_s=elapsed,
-                        requested_at=call.requested_at,
-                        handoff_count=call.handoff_count,
-                        position_x=terminal.position.x,
-                        position_y=terminal.position.y,
-                        speed_kmh=terminal.speed_kmh,
-                        heading_deg=terminal.heading_deg,
-                    )
-                )
-                return
-        # Holding time elapsed: normal completion.
-        self._cell.base_station.release(call)
-        call.complete(self._env.now)
-        self._controller.on_released(call, self._cell.base_station, self._env.now)
-        self._completed += 1
-        self._metrics.record_completion(call)
-
-    def _occupancy_sampler(self):
-        """Sample this cell's occupancy every mobility interval."""
-        while self._env.now < self._config.duration_s:
-            yield self._env.timeout(self._config.mobility_update_s)
-            self._occupancy_time_integral += (
-                self._cell.base_station.used_bu * self._config.mobility_update_s
-            )
-            self._last_occupancy_sample = self._env.now
-
-    # -- the actor interface ---------------------------------------------
     def _deliver(self, message: HandoffMessage) -> None:
         """Admit (or drop) one inbound handoff at the barrier instant."""
-        now = self._env.now
-        station = self._cell.base_station
         terminal = MobileTerminal(
             position=Point(message.position_x, message.position_y),
             speed_kmh=message.speed_kmh,
@@ -372,34 +225,10 @@ class CellShard:
         )
         call.admit(message.time, message.source_cell)
         call.handoff_count = message.handoff_count
-        self._handoff_attempts += 1
-        request = Call(
-            service=message.service,
-            bandwidth_units=message.bandwidth_units,
-            call_type=CallType.HANDOFF,
-            user_state=self._observe(terminal),
-            requested_at=now,
-            holding_time_s=message.holding_time_s,
-            call_id=self._next_call_id(),
-        )
-        self._metrics.record_request(request)
-        decision = self._controller.decide(request, station, now)
-        accepted = decision.accepted and station.can_fit(message.bandwidth_units)
-        self._metrics.record_decision(request, accepted)
-        if accepted:
-            station.allocate(call)
-            call.handoff(now, self._cell.cell_id)
-            self._controller.on_admitted(call, station, now)
-            self._env.process(
-                self._call_lifecycle(call, terminal, elapsed=message.elapsed_s),
-                name=f"call-{call.call_id}",
-            )
-        else:
-            self._handoff_failures += 1
-            self._dropped += 1
-            call.drop(now, reason=f"handoff to cell {self._cell.cell_id} denied")
-            self._metrics.record_completion(call)
+        if self._kernel.admit_handoff(call, terminal, self._cell):
+            self._kernel.follow(call, terminal, self._cell, elapsed=message.elapsed_s)
 
+    # -- the actor interface ---------------------------------------------
     def step_to(self, until: float, inbound: list[HandoffMessage] = ()) -> list[HandoffMessage]:
         """Drain ``inbound`` (pre-sorted canonically), simulate to ``until``.
 
@@ -412,22 +241,9 @@ class CellShard:
         outbox, self._outbox = self._outbox, []
         return outbox
 
-    def outcome(self) -> ShardOutcome:
+    def outcome(self) -> KernelOutcome:
         """Final statistics of this shard, for the coordinator to sum."""
-        workload = self._config.workload
-        class_names = () if workload is None else workload.class_names()
-        return ShardOutcome(
-            cell_id=self._cell.cell_id,
-            controller=self._controller.name,
-            counters=self._metrics.snapshot().as_counters(),
-            handoff_attempts=self._handoff_attempts,
-            handoff_failures=self._handoff_failures,
-            completed_calls=self._completed,
-            dropped_calls=self._dropped,
-            occupancy_time_integral=self._occupancy_time_integral,
-            last_occupancy_sample=self._last_occupancy_sample,
-            class_values=self._metrics.class_counter_values(class_names),
-        )
+        return self._kernel.outcome()
 
 
 # ----------------------------------------------------------------------
@@ -454,14 +270,15 @@ def _route(messages: list[HandoffMessage]) -> dict[int, list[HandoffMessage]]:
     return inbound
 
 
+#: What each backend returns: the shards' outcomes in cell order and the
+#: messages still in transit at the horizon, by target cell.
+_RunEnd = tuple[list[KernelOutcome], dict[int, list[HandoffMessage]]]
+
+
 def _shard_worker(connection, config, controller_factory, cell_ids) -> None:
     """Process-backend worker: owns a block of shards for the whole run."""
     try:
-        spiral = hex_spiral(HexCoordinate(0, 0), config.rings)
-        shards = [
-            CellShard(cell_id, config, controller_factory, spiral)
-            for cell_id in cell_ids
-        ]
+        shards = [CellShard(cell_id, config, controller_factory) for cell_id in cell_ids]
         while True:
             command = connection.recv()
             if command[0] == "step":
@@ -512,17 +329,23 @@ class CoupledShardedNetworkSimulation:
         self._controller_factory = controller_factory
         self._window_s = window_s if window_s is not None else config.mobility_update_s
         self._backend, self._workers = _backend_of(executor)
+        #: Admitted calls still in service when :meth:`run` returned:
+        #: holding bandwidth in a shard, or in transit between shards.
+        self.calls_in_service = 0
 
     # ------------------------------------------------------------------
     def run(self) -> NetworkRunOutput:
         """Execute the sharded run and return the merged network output."""
         if self._backend == "process":
-            outcomes = self._run_process()
+            outcomes, in_transit = self._run_process()
         elif self._backend == "thread":
-            outcomes = self._run_thread()
+            outcomes, in_transit = self._run_thread()
         else:
-            outcomes = self._run_serial()
-        return self._merge(sorted(outcomes, key=lambda o: o.cell_id))
+            outcomes, in_transit = self._run_serial()
+        in_transit_calls = sum(len(queue) for queue in in_transit.values())
+        self.calls_in_service = sum(o.calls_in_service for o in outcomes) + in_transit_calls
+        # Every backend returns the outcomes in cell order.
+        return merge_outcomes(self._config, outcomes, len(outcomes))
 
     # -- backends --------------------------------------------------------
     def _windows(self):
@@ -533,7 +356,7 @@ class CoupledShardedNetworkSimulation:
             t = min(t + self._window_s, horizon)
             yield t
 
-    def _run_serial(self) -> list[ShardOutcome]:
+    def _run_serial(self) -> _RunEnd:
         shards = self._build_shards()
         inbound: dict[int, list[HandoffMessage]] = {}
         for until in self._windows():
@@ -543,9 +366,9 @@ class CoupledShardedNetworkSimulation:
             inbound = _route(outbox)
             if not inbound and not any(shard.busy for shard in shards):
                 break
-        return [shard.outcome() for shard in shards]
+        return [shard.outcome() for shard in shards], inbound
 
-    def _run_thread(self) -> list[ShardOutcome]:
+    def _run_thread(self) -> _RunEnd:
         shards = self._build_shards()
         workers = min(self._pool_size(), len(shards))
         inbound: dict[int, list[HandoffMessage]] = {}
@@ -559,9 +382,9 @@ class CoupledShardedNetworkSimulation:
                 inbound = _route([m for out in results for m in out])
                 if not inbound and not any(shard.busy for shard in shards):
                     break
-        return [shard.outcome() for shard in shards]
+        return [shard.outcome() for shard in shards], inbound
 
-    def _run_process(self) -> list[ShardOutcome]:
+    def _run_process(self) -> _RunEnd:
         config, factory = self._config, self._controller_factory
         try:
             pickle.dumps((config, factory))
@@ -605,7 +428,7 @@ class CoupledShardedNetworkSimulation:
                 if not inbound and not busy:
                     break
 
-            outcomes: list[ShardOutcome] = []
+            outcomes: list[KernelOutcome] = []
             for _, connection, _ in workers:
                 connection.send(("finish",))
             for _, connection, _ in workers:
@@ -613,7 +436,7 @@ class CoupledShardedNetworkSimulation:
                 if reply[0] != "ok":
                     raise SweepExecutionError(f"shard worker failed: {reply[1]}")
                 outcomes.extend(reply[1])
-            return outcomes
+            return outcomes, inbound
         finally:
             for process, connection, _ in workers:
                 connection.close()
@@ -624,56 +447,15 @@ class CoupledShardedNetworkSimulation:
 
     # -- helpers ---------------------------------------------------------
     def _build_shards(self) -> list[CellShard]:
-        spiral = hex_spiral(HexCoordinate(0, 0), self._config.rings)
+        cells = hex_cell_count(self._config.rings)
         return [
-            CellShard(cell_id, self._config, self._controller_factory, spiral)
-            for cell_id in range(1, len(spiral) + 1)
+            CellShard(cell_id, self._config, self._controller_factory)
+            for cell_id in range(1, cells + 1)
         ]
 
     def _pool_size(self) -> int:
         cells = hex_cell_count(self._config.rings)
         return min(self._workers or os.cpu_count() or 1, cells)
-
-    def _merge(self, outcomes: list[ShardOutcome]) -> NetworkRunOutput:
-        config = self._config
-        counters = tuple(
-            sum(outcome.counters[index] for outcome in outcomes)
-            for index in range(len(CallMetrics.COUNTER_FIELDS))
-        )
-        metrics = CallMetrics.from_counters(counters)
-        last_sample = max(outcome.last_occupancy_sample for outcome in outcomes)
-        elapsed = max(last_sample, config.mobility_update_s)
-        integral = sum(outcome.occupancy_time_integral for outcome in outcomes)
-        result = RunResult(
-            controller=outcomes[0].controller,
-            metrics=metrics,
-            parameters={
-                "rings": float(config.rings),
-                "cells": float(len(outcomes)),
-                "arrival_rate_per_cell_per_s": config.arrival_rate_per_cell_per_s,
-                "duration_s": config.duration_s,
-            },
-            seed=config.seed,
-        )
-        workload = config.workload
-        class_names = () if workload is None else workload.class_names()
-        class_values: tuple[float, ...] = ()
-        if class_names:
-            width = len(outcomes[0].class_values)
-            class_values = tuple(
-                sum(outcome.class_values[index] for outcome in outcomes)
-                for index in range(width)
-            )
-        return NetworkRunOutput(
-            result=result,
-            handoff_attempts=sum(o.handoff_attempts for o in outcomes),
-            handoff_failures=sum(o.handoff_failures for o in outcomes),
-            completed_calls=sum(o.completed_calls for o in outcomes),
-            dropped_calls=sum(o.dropped_calls for o in outcomes),
-            time_average_occupancy_bu=integral / elapsed,
-            class_names=class_names,
-            class_values=class_values,
-        )
 
 
 def _backend_of(executor: SweepExecutor | str | None) -> tuple[str, int | None]:

@@ -17,7 +17,12 @@ from repro.analysis.io import (
     write_sweep_csv,
 )
 from repro.analysis.plotting import ascii_line_plot, ascii_membership_plot
-from repro.analysis.stats import paired_difference, summarize, t_confidence_interval
+from repro.analysis.stats import (
+    paired_difference,
+    student_t_quantile,
+    summarize,
+    t_confidence_interval,
+)
 from repro.analysis.tables import format_curve_table, format_table
 from repro.simulation.sweep import (
     NetworkSweepCurve,
@@ -76,6 +81,45 @@ class TestStats:
         low, high = t_confidence_interval(values)
         mean = sum(values) / len(values)
         assert (mean - low) == pytest.approx(high - mean, abs=1e-6)
+
+
+#: Two-sided Student-t critical values (upper quantile at 0.5 + c/2),
+#: tabulated to 4 decimals and, for the 1e-6 check, to 12 significant
+#: digits.
+T_TABLE = [
+    (0.95, 1, 12.7062, 12.7062047362),
+    (0.95, 2, 4.3027, 4.30265272975),
+    (0.95, 5, 2.5706, 2.57058183564),
+    (0.95, 30, 2.0423, 2.04227245630),
+    (0.99, 1, 63.6567, 63.6567411629),
+    (0.99, 2, 9.9248, 9.92484320092),
+    (0.99, 5, 4.0321, 4.03214298356),
+    (0.99, 30, 2.7500, 2.74999565357),
+]
+
+
+class TestStudentTQuantile:
+    @pytest.mark.parametrize("confidence,df,rounded,precise", T_TABLE)
+    def test_matches_the_two_sided_table(self, confidence, df, rounded, precise):
+        value = student_t_quantile(0.5 + confidence / 2.0, df)
+        assert value == pytest.approx(precise, rel=1e-6)
+        assert round(value, 4) == pytest.approx(rounded, abs=1e-9)
+
+    def test_symmetric_about_the_median(self):
+        assert student_t_quantile(0.5, 4) == 0.0
+        for p in (0.6, 0.9, 0.999):
+            assert student_t_quantile(1.0 - p, 7) == pytest.approx(
+                -student_t_quantile(p, 7), rel=1e-12
+            )
+
+    def test_large_df_approaches_the_normal_quantile(self):
+        assert student_t_quantile(0.975, 1e6) == pytest.approx(1.959964, rel=1e-5)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            student_t_quantile(1.0, 3)
+        with pytest.raises(ValueError):
+            student_t_quantile(0.9, 0)
 
 
 class TestTables:

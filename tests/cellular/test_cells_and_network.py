@@ -156,14 +156,17 @@ class TestCellularNetwork:
         network = CellularNetwork(rings=2)
         for cell in network:
             for neighbor in network.neighbors(cell.cell_id):
-                assert network.are_neighbors(neighbor.cell_id, cell.cell_id)
+                assert cell in network.neighbors(neighbor.cell_id)
 
-    def test_hop_distance(self):
-        network = CellularNetwork(rings=2)
-        center = network.center_cell.cell_id
-        for neighbor in network.neighbors(center):
-            assert network.hop_distance(center, neighbor.cell_id) == 1
-        assert network.hop_distance(center, center) == 0
+    def test_neighbors_are_the_adjacent_cells_sorted_by_id(self):
+        network = CellularNetwork(rings=3)
+        for cell in network:
+            expected = [
+                other
+                for other in network
+                if other.coordinate.distance_to(cell.coordinate) == 1
+            ]
+            assert network.neighbors(cell.cell_id) == expected
 
     def test_cells_along_heading(self):
         network = CellularNetwork(rings=2, cell_radius_km=2.0)

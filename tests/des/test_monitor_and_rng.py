@@ -1,129 +1,12 @@
-"""Tests for monitors (counters, tallies, time-weighted values) and random streams."""
+"""Tests for the reproducible named random streams."""
 
 from __future__ import annotations
 
 import statistics
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.des import (
-    Counter,
-    Environment,
-    MonitorRegistry,
-    RandomStream,
-    StreamFactory,
-    Tally,
-    TimeWeightedValue,
-)
-
-
-class TestCounter:
-    def test_increment(self):
-        counter = Counter("calls")
-        counter.increment()
-        counter.increment(4)
-        assert counter.count == 5
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            Counter("calls").increment(-1)
-
-    def test_reset(self):
-        counter = Counter("calls", count=7)
-        counter.reset()
-        assert counter.count == 0
-
-
-class TestTally:
-    def test_mean_and_extremes(self):
-        tally = Tally("holding")
-        for value in (2.0, 4.0, 6.0):
-            tally.observe(value)
-        assert tally.count == 3
-        assert tally.mean == pytest.approx(4.0)
-        assert tally.minimum == 2.0
-        assert tally.maximum == 6.0
-
-    def test_variance_matches_statistics_module(self):
-        values = [3.2, 7.1, 0.4, 9.9, 5.5, 2.2]
-        tally = Tally("x")
-        for value in values:
-            tally.observe(value)
-        assert tally.variance == pytest.approx(statistics.variance(values))
-        assert tally.std == pytest.approx(statistics.stdev(values))
-
-    def test_empty_tally_raises(self):
-        tally = Tally("empty")
-        with pytest.raises(ValueError):
-            _ = tally.mean
-        with pytest.raises(ValueError):
-            _ = tally.minimum
-
-    def test_single_observation_variance_zero(self):
-        tally = Tally("x")
-        tally.observe(5.0)
-        assert tally.variance == 0.0
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=50))
-    @settings(max_examples=50)
-    def test_welford_agrees_with_batch(self, values):
-        tally = Tally("x")
-        for value in values:
-            tally.observe(value)
-        assert tally.mean == pytest.approx(statistics.fmean(values), abs=1e-6)
-
-
-class TestTimeWeightedValue:
-    def test_time_average_of_step_function(self):
-        env = Environment()
-        series = TimeWeightedValue(env, "occupancy", initial=0.0)
-
-        def proc(env):
-            yield env.timeout(10.0)
-            series.update(4.0)
-            yield env.timeout(10.0)
-            series.update(0.0)
-            yield env.timeout(20.0)
-
-        env.process(proc(env))
-        env.run()
-        # 0 for 10s, 4 for 10s, 0 for 20s -> average 1.0
-        assert series.time_average == pytest.approx(1.0)
-        assert series.minimum == 0.0
-        assert series.maximum == 4.0
-
-    def test_add_delta(self):
-        env = Environment()
-        series = TimeWeightedValue(env, "x", initial=2.0)
-        series.add(3.0)
-        assert series.value == 5.0
-
-    def test_history_records_changes(self):
-        env = Environment()
-        series = TimeWeightedValue(env, "x", initial=1.0)
-        series.update(2.0)
-        assert series.history == [(0.0, 1.0), (0.0, 2.0)]
-
-
-class TestMonitorRegistry:
-    def test_creates_and_reuses_entries(self):
-        env = Environment()
-        registry = MonitorRegistry(env)
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.tally("b") is registry.tally("b")
-        assert registry.time_weighted("c") is registry.time_weighted("c")
-
-    def test_snapshot_keys(self):
-        env = Environment()
-        registry = MonitorRegistry(env)
-        registry.counter("arrivals").increment(3)
-        registry.tally("holding").observe(10.0)
-        registry.time_weighted("occupancy", initial=5.0)
-        snapshot = registry.snapshot()
-        assert snapshot["count.arrivals"] == 3.0
-        assert snapshot["mean.holding"] == 10.0
-        assert "avg.occupancy" in snapshot
+from repro.des import RandomStream, StreamFactory
 
 
 class TestRandomStream:

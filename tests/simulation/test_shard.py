@@ -6,7 +6,13 @@ import pickle
 
 import pytest
 
-from repro.api import CoupledShardedNetworkSweepScenario, Runner, Scenario
+from repro.api import (
+    CoupledShardedNetworkSweepScenario,
+    NetworkSweepScenario,
+    Runner,
+    Scenario,
+    ScenarioError,
+)
 from repro.cac.complete_sharing import CompleteSharingController
 from repro.simulation import (
     CoupledShardedNetworkSimulation,
@@ -222,20 +228,6 @@ class TestCoupledShardedScenario:
         assert report.metrics["curves"][0]["points"][0]["replications"] == 1
         assert "multi-cell QoS vs offered load" in report.text
 
-    def test_sharded_approximation_reports_dropped_coupling(self):
-        from repro.api import ShardedNetworkSweepScenario
-
-        report = Runner().run(
-            ShardedNetworkSweepScenario(
-                controllers=("CS",),
-                arrival_rates=(0.03,),
-                replications=1,
-                duration_s=90.0,
-                rings=0,
-            )
-        )
-        assert report.metrics["handoff_coupling"] == "dropped"
-
     def test_runner_threads_capacities_and_window_through(self):
         scenario = CoupledShardedNetworkSweepScenario(
             controllers=("CS",),
@@ -277,3 +269,22 @@ class TestCoupledShardedScenario:
             {"kind": "network-sweep", "controllers": ["CS"], "arrival_rates": [0.03]}
         )
         assert not isinstance(scenario, CoupledShardedNetworkSweepScenario)
+        assert type(scenario) is NetworkSweepScenario
+
+    def test_retired_dropped_coupling_kind_names_its_replacement(self):
+        with pytest.raises(ScenarioError, match="retired; use 'network-sweep-coupled-sharded'"):
+            Scenario.from_dict(
+                {
+                    "kind": "network-sweep-sharded",
+                    "controllers": ["CS"],
+                    "arrival_rates": [0.03],
+                }
+            )
+
+
+@pytest.mark.parametrize("rings,cells", [(0, 1), (1, 7), (2, 19)])
+def test_cell_counts(rings, cells):
+    from repro.cellular.network import CellularNetwork, hex_cell_count
+
+    assert hex_cell_count(rings) == cells
+    assert CellularNetwork(rings=rings).cell_count == cells

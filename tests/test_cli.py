@@ -156,6 +156,13 @@ class TestNetworkSweepCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["network-sweep", "--controllers", "Oracle"])
 
+    def test_mode_choices_are_the_two_coupled_engines(self):
+        parser = build_parser()
+        for mode in ("coupled", "coupled-sharded"):
+            assert parser.parse_args(["network-sweep", "--mode", mode]).mode == mode
+        with pytest.raises(SystemExit):
+            parser.parse_args(["network-sweep", "--mode", "sharded"])
+
     def test_workers_without_pool_executor_rejected(self):
         with pytest.raises(SystemExit):
             main(["network-sweep", "--workers", "4"])
