@@ -1,134 +1,15 @@
-"""Per-cell sharded network sweeps: determinism, seeding, scenario wiring."""
+"""Scenario decoding around the sharded network-sweep kinds."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.api import Runner, Scenario, ShardedNetworkSweepScenario
-from repro.cac.complete_sharing import CompleteSharingController
-from repro.simulation import (
-    NetworkExperimentConfig,
-    NetworkSweepSpec,
-    run_network_sweep,
-    run_sharded_network_sweep,
-)
-
-
-def small_spec(rings: int = 1, replications: int = 1) -> NetworkSweepSpec:
-    return NetworkSweepSpec(
-        name="sharded-test",
-        controllers={"CS": CompleteSharingController},
-        arrival_rates=(0.03,),
-        replications=replications,
-        base_config=NetworkExperimentConfig(
-            rings=rings, duration_s=90.0, seed=424242
-        ),
-    )
-
-
-class TestRunShardedNetworkSweep:
-    def test_backends_are_byte_identical(self):
-        spec = small_spec(rings=1, replications=2)
-        serial = run_sharded_network_sweep(spec, executor="serial")
-        threaded = run_sharded_network_sweep(spec, executor="thread")
-        process = run_sharded_network_sweep(spec, executor="process")
-        assert serial == threaded == process
-
-    def test_points_pool_cells_times_replications(self):
-        result = run_sharded_network_sweep(small_spec(rings=1, replications=2))
-        point = result.curves[0].points[0]
-        assert point.replications == 7 * 2  # 7 cells x 2 replications
-
-    def test_rings0_shard_matches_the_coupled_sweep(self):
-        # A single-cell topology has exactly one shard seeded identically to
-        # the coupled run, so sharding must reproduce it point for point.
-        spec = small_spec(rings=0, replications=2)
-        sharded = run_sharded_network_sweep(spec)
-        coupled = run_network_sweep(spec)
-        assert sharded.curves == coupled.curves
-        assert sharded.name == f"{coupled.name}-sharded"
-
-    def test_shards_are_independent_of_each_other(self):
-        # Different cells draw from different seeds: pooling 7 shards must
-        # not collapse to 7 copies of one run (std over cells is non-zero).
-        result = run_sharded_network_sweep(small_spec(rings=1, replications=1))
-        assert result.curves[0].points[0].std_percentage > 0.0
+from repro.api import CoupledShardedNetworkSweepScenario, NetworkSweepScenario, Scenario
 
 
 class TestShardedScenario:
-    def test_round_trips(self):
-        scenario = ShardedNetworkSweepScenario(
-            controllers=("CS",), arrival_rates=(0.03,), replications=1
-        )
-        restored = Scenario.from_json(scenario.to_json())
-        assert restored == scenario
-        assert isinstance(restored, ShardedNetworkSweepScenario)
-        assert restored.kind == "network-sweep-sharded"
-        assert restored.slug == "net-sweep-sharded"
-
-    def test_runner_dispatches_to_the_sharded_handler(self):
-        scenario = ShardedNetworkSweepScenario(
-            controllers=("CS",),
-            arrival_rates=(0.03,),
-            replications=1,
-            duration_s=90.0,
-            rings=1,
-        )
-        report = Runner().run(scenario)
-        # 7 cells x 1 replication pooled into the single point.
-        assert report.metrics["curves"][0]["points"][0]["replications"] == 7
-        assert "multi-cell QoS vs offered load" in report.text
-
-    def test_matches_direct_sharded_run(self):
-        scenario = ShardedNetworkSweepScenario(
-            controllers=("CS",),
-            arrival_rates=(0.03,),
-            replications=1,
-            duration_s=90.0,
-            rings=0,
-            cell_radius_km=2.0,
-            mean_speed_kmh=40.0,
-            seed=424242,
-        )
-        report = Runner().run(scenario)
-        spec = NetworkSweepSpec(
-            name="network-qos-sweep",
-            controllers={"CS": CompleteSharingController},
-            arrival_rates=(0.03,),
-            replications=1,
-            base_config=NetworkExperimentConfig(
-                rings=0,
-                cell_radius_km=2.0,
-                duration_s=90.0,
-                mean_speed_kmh=40.0,
-                seed=424242,
-            ),
-        )
-        direct = run_sharded_network_sweep(spec)
-        assert report.metrics["curves"][0]["points"] == [
-            {
-                "arrival_rate_per_cell_per_s": p.arrival_rate_per_cell_per_s,
-                "acceptance_percentage": p.acceptance_percentage,
-                "std_percentage": p.std_percentage,
-                "blocking_probability": p.blocking_probability,
-                "dropping_probability": p.dropping_probability,
-                "handoff_failure_ratio": p.handoff_failure_ratio,
-                "mean_occupancy_bu": p.mean_occupancy_bu,
-                "replications": p.replications,
-            }
-            for p in direct.curves[0].points
-        ]
-
     def test_parent_kind_still_decodes_to_the_coupled_scenario(self):
         scenario = Scenario.from_dict(
             {"kind": "network-sweep", "controllers": ["CS"], "arrival_rates": [0.03]}
         )
-        assert not isinstance(scenario, ShardedNetworkSweepScenario)
-
-
-@pytest.mark.parametrize("rings,cells", [(0, 1), (1, 7), (2, 19)])
-def test_cell_counts(rings, cells):
-    from repro.cellular.network import CellularNetwork, hex_cell_count
-
-    assert hex_cell_count(rings) == cells
-    assert CellularNetwork(rings=rings).cell_count == cells
+        assert type(scenario) is NetworkSweepScenario
+        assert scenario.to_dict()["kind"] == "network-sweep"
+        assert not isinstance(scenario, CoupledShardedNetworkSweepScenario)
