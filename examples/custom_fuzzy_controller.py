@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Build a custom fuzzy controller and plug it into the scenario API.
 
-Part 1 uses the `repro.fuzzy` toolkit — a general Mamdani toolkit, the same
-one the paper's FLCs are built from — to define a small handoff-decision
-controller (signal strength + cell load -> handoff urgency) from scratch:
-its own linguistic variables, a rule base written in the text DSL, and a
-centroid defuzzifier.
+Part 1 uses the `repro.fuzzy` toolkit — the same one the paper's FLCs are
+built from — to define a small handoff-decision controller (signal strength
++ cell load -> handoff urgency) from scratch.  The toolkit offers exactly
+what FLC1 and FLC2 use: triangular and trapezoidal terms, AND-only rules
+written in the text DSL (no OR, NOT or hedges), Mamdani inference with
+min conjunction, clip implication and max aggregation, and a centroid
+defuzzifier.
 
 Part 2 wraps it as an admission policy, registers it in the
 ``repro.api.CONTROLLERS`` registry, and runs a multi-cell sweep scenario

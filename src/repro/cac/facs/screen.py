@@ -58,7 +58,6 @@ from ...fuzzy.bounds import CentroidBoundTables
 from ...fuzzy.compiled import CompiledMamdaniEngine
 from ...fuzzy.defuzzification import DefuzzificationError
 from ...fuzzy.membership import Trapezoidal, Triangular
-from ...fuzzy.operators import MINIMUM
 from .flc1 import FLC1
 from .flc2 import FLC2
 
@@ -372,20 +371,14 @@ class DecisionScreen:
                 deg_hi[:, offset + j] = degree
 
         # Interval rule strengths, folded column for column in the engine's
-        # order (min is an exact selection; product of values in [0, 1] is
-        # weakly monotone under IEEE rounding, so endpoint folds bound the
+        # order (min is an exact selection, so endpoint folds bound the
         # engine's fold in float).
         index = eng._antecedent_index
         s_lo = deg_lo[:, index[:, 0]]
         s_hi = deg_hi[:, index[:, 0]]
-        minimum_tnorm = eng._tnorm is MINIMUM
         for column in range(1, eng._antecedent_width):
-            if minimum_tnorm:
-                s_lo = np.minimum(s_lo, deg_lo[:, index[:, column]])
-                s_hi = np.minimum(s_hi, deg_hi[:, index[:, column]])
-            else:
-                s_lo = s_lo * deg_lo[:, index[:, column]]
-                s_hi = s_hi * deg_hi[:, index[:, column]]
+            s_lo = np.minimum(s_lo, deg_lo[:, index[:, column]])
+            s_hi = np.minimum(s_hi, deg_hi[:, index[:, column]])
 
         t_lo = np.empty((n_cells, len(self._term_columns2)))
         t_hi = np.empty((n_cells, len(self._term_columns2)))

@@ -60,8 +60,8 @@ class FACSConfig:
     #: "weak accept" and above, mirroring the paper's soft decision scale.
     acceptance_threshold: float = 0.0
     #: Inference engine for FLC1/FLC2: ``"compiled"`` (vectorized fast path,
-    #: the default — bit-identical to the reference for the paper operators),
-    #: ``"reference"`` (interpreted per-rule loop) or ``"auto"``.
+    #: the default — bit-identical to the reference) or ``"reference"``
+    #: (interpreted per-rule loop).
     engine: str = "compiled"
     #: Declarative overrides for the two pipeline stages.  When set, the
     #: stage is built from the definition (see :mod:`repro.fuzzy.definition`)
@@ -320,7 +320,7 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         pair supports it: most rows are decided from interval bounds alone
         and only the undecidable remainder pays for exact dense-grid
         inference.  Configurations outside the certified regime (reference
-        engine, custom operators or membership shapes, …) fall back to the
+        engine, non-centroid defuzzifier, rule weights, …) fall back to the
         exact score path wholesale.
         """
         screen = self.decision_screen

@@ -2,7 +2,7 @@
 
 Hexagonal cell geometry, base stations with bandwidth-unit ledgers, mobile
 terminals and mobility models, the paper's traffic classes, the call
-lifecycle, handoff management and call-level metrics.
+lifecycle and call-level metrics.
 """
 
 from .geometry import (
@@ -40,7 +40,6 @@ from .traffic import (
     TrafficMix,
 )
 from .calls import Call, CallEvent, CallState, CallType
-from .handoff import HandoffManager, HandoffOutcome
 from .metrics import CallMetrics, MetricsCollector
 
 __all__ = [
@@ -79,8 +78,6 @@ __all__ = [
     "CallEvent",
     "CallState",
     "CallType",
-    "HandoffManager",
-    "HandoffOutcome",
     "CallMetrics",
     "MetricsCollector",
 ]

@@ -161,7 +161,7 @@ class MobileTerminal:
     """A mobile terminal with planar position and velocity.
 
     The terminal does not know about cells; the network layer maps positions
-    to serving cells and the handoff manager reacts to cell changes.
+    to serving cells and the cell kernel admits the handoff on a cell change.
     """
 
     def __init__(

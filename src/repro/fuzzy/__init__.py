@@ -1,104 +1,43 @@
-"""A self-contained fuzzy-logic toolkit (replacement for scikit-fuzzy).
+"""A self-contained fuzzy-logic toolkit, cut to what FLC1 and FLC2 run.
 
-Provides membership functions, linguistic variables, a rule DSL, Mamdani /
-Sugeno inference and defuzzification — everything FLC1 and FLC2 of the
-paper's FACS system need, built from scratch.
+The whole controller contract is fuzzifier → rule engine → defuzzifier:
+triangular and trapezoidal membership functions, linguistic variables,
+AND-only rules (parsed from the ``IF ... THEN ...`` DSL or built from
+propositions), Mamdani inference with the fixed min conjunction, clip
+implication and max aggregation, and centroid, bisector or mean-of-maximum
+defuzzification.  The interpreted :class:`MamdaniEngine` is the reference;
+:class:`CompiledMamdaniEngine` is its bit-identical vectorized fast path.
 """
 
 from .membership import (
-    ConstantMF,
-    Gaussian,
-    GeneralizedBell,
     MembershipFunction,
-    PiShape,
-    PiecewiseLinear,
-    Sigmoid,
-    Singleton,
-    SShape,
     Trapezoidal,
     Triangular,
-    ZShape,
     paper_trapezoidal,
     paper_triangular,
 )
-from .operators import (
-    BOUNDED_SUM,
-    LUKASIEWICZ_AND,
-    MAXIMUM,
-    MINIMUM,
-    PROBABILISTIC_SUM,
-    PRODUCT,
-    SNorm,
-    TNorm,
-    snorm_by_name,
-    tnorm_by_name,
-)
-from .hedges import Hedge, hedge_by_name
 from .variables import FuzzificationResult, LinguisticVariable, Term
-from .rules import And, Antecedent, Consequent, FuzzyRule, Not, Or, Proposition, RuleBase
+from .rules import And, Antecedent, Consequent, FuzzyRule, Proposition, RuleBase
 from .parser import RuleSyntaxError, parse_rule, parse_rules
 from .defuzzification import (
     Bisector,
     Centroid,
     DefuzzificationError,
     Defuzzifier,
-    LargestOfMaximum,
     MeanOfMaximum,
-    SmallestOfMaximum,
-    WeightedAverage,
     defuzzifier_by_name,
 )
-from .inference import (
-    ImplicationMethod,
-    InferenceResult,
-    MamdaniEngine,
-    RuleActivation,
-    SugenoEngine,
-)
-from .compiled import (
-    CacheInfo,
-    CompiledMamdaniEngine,
-    CrispInference,
-    RuleCompilationError,
-)
-from .controller import (
-    ENGINE_CHOICES,
-    ENGINES,
-    ControllerSpec,
-    EngineSpec,
-    FuzzyController,
-)
+from .inference import InferenceResult, MamdaniEngine, RuleActivation
+from .compiled import CacheInfo, CompiledMamdaniEngine, CrispInference
+from .controller import ENGINES, EngineSpec, FuzzyController
 
 __all__ = [
     # membership
     "MembershipFunction",
     "Triangular",
     "Trapezoidal",
-    "Gaussian",
-    "GeneralizedBell",
-    "Sigmoid",
-    "ZShape",
-    "SShape",
-    "PiShape",
-    "Singleton",
-    "PiecewiseLinear",
-    "ConstantMF",
     "paper_triangular",
     "paper_trapezoidal",
-    # operators
-    "TNorm",
-    "SNorm",
-    "MINIMUM",
-    "PRODUCT",
-    "LUKASIEWICZ_AND",
-    "MAXIMUM",
-    "PROBABILISTIC_SUM",
-    "BOUNDED_SUM",
-    "tnorm_by_name",
-    "snorm_by_name",
-    # hedges
-    "Hedge",
-    "hedge_by_name",
     # variables
     "Term",
     "LinguisticVariable",
@@ -107,8 +46,6 @@ __all__ = [
     "Antecedent",
     "Proposition",
     "And",
-    "Or",
-    "Not",
     "Consequent",
     "FuzzyRule",
     "RuleBase",
@@ -120,26 +57,18 @@ __all__ = [
     "Centroid",
     "Bisector",
     "MeanOfMaximum",
-    "SmallestOfMaximum",
-    "LargestOfMaximum",
-    "WeightedAverage",
     "defuzzifier_by_name",
     "DefuzzificationError",
     # inference
     "MamdaniEngine",
-    "SugenoEngine",
     "InferenceResult",
     "RuleActivation",
-    "ImplicationMethod",
     # compiled fast path
     "CompiledMamdaniEngine",
     "CrispInference",
-    "RuleCompilationError",
     "CacheInfo",
     # controller
     "FuzzyController",
-    "ControllerSpec",
-    "ENGINE_CHOICES",
     "ENGINES",
     "EngineSpec",
 ]

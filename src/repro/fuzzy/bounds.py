@@ -12,9 +12,9 @@ The bounds are *certified*: they hold for the bit-exact value the engine's
 batch path produces, not merely for the underlying real number.  Three
 facts make that possible:
 
-1. **Exact decomposition.**  With the MAXIMUM s-norm and CLIP implication
-   the aggregated surface is ``max_t min(T_t, s_t)`` over the distinct
-   consequent terms (``s_t`` = the term's maximal firing strength).  When
+1. **Exact decomposition.**  With the engine's max aggregation and clip
+   implication the aggregated surface is ``max_t min(T_t, s_t)`` over the
+   distinct consequent terms (``s_t`` = the term's maximal firing strength).  When
    no grid point is covered by three or more term supports — true for
    every standard fuzzy partition, and verified at build time — the
    pointwise identity ``max(f_1, …, f_k) = Σ f_t − Σ min(f_t, f_u)`` over
@@ -49,9 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compiled import CompiledMamdaniEngine, ImplicationMethod
-from .defuzzification import Centroid
-from .operators import MAXIMUM, MINIMUM, PRODUCT
+from .compiled import CompiledMamdaniEngine
 
 __all__ = ["CentroidBoundTables"]
 
@@ -74,8 +72,8 @@ class CentroidBoundTables:
 
     Build via :meth:`for_engine`, which returns ``None`` when the engine or
     rule base falls outside the certified regime (non-compiled engine,
-    non-MAXIMUM s-norm, non-CLIP implication, non-centroid defuzzifier,
-    rule weights, or a term geometry with triple overlaps).
+    non-centroid defuzzifier, rule weights, or a term geometry with triple
+    overlaps).
     """
 
     def __init__(
@@ -166,15 +164,8 @@ class CentroidBoundTables:
         """
         if not isinstance(engine, CompiledMamdaniEngine):
             return None
-        if engine._snorm is not MAXIMUM:
-            return None
-        if engine._implication != ImplicationMethod.CLIP:
-            return None
-        if engine._tnorm is not MINIMUM and engine._tnorm is not PRODUCT:
-            return None
+        # ``_fast_centroid`` holds exactly when the defuzzifier is Centroid.
         if not engine._trivial_weights or not engine._fast_centroid:
-            return None
-        if type(engine._defuzzifier) is not Centroid:
             return None
         if var_name not in engine._grouped_consequent_plans:
             return None

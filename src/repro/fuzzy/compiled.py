@@ -10,26 +10,20 @@ time into
 * an *antecedent index matrix* ``A`` of shape ``(n_rules, max_props)`` whose
   entries point into a flat vector of fuzzified membership degrees (rules
   with fewer propositions are padded with a slot pinned to ``1.0``, the
-  identity of every t-norm), and
+  identity of the minimum t-norm), and
 * one *consequent surface tensor* ``C`` of shape ``(n_entries, resolution)``
   per output variable, stacking the pre-sampled consequent term surfaces in
   rule order.
 
 One inference is then: fill the degree vector (scalar fast paths for the
 triangular/trapezoidal shapes the paper uses), gather ``A`` and fold the
-t-norm across its columns to get all firing strengths at once, clip/scale the
-fired rows of ``C`` and reduce them with the s-norm, and defuzzify.
+minimum across its columns to get all firing strengths at once, clip the
+fired rows of ``C`` and reduce them with the maximum, and defuzzify.
 
-The compiled engine is an exact drop-in: for the paper's minimum/maximum
-operators the results are bit-for-bit identical to the reference engine, and
-for every other registered operator family they agree to ~1 ulp (the only
-difference is floating-point reassociation).  This is locked down by the
-equivalence tests in ``tests/fuzzy/test_compiled_engine.py``.
-
-Only rule bases whose rules are pure conjunctions of unhedged propositions
-can be compiled (FRB1 and FRB2 both are); anything else raises
-:class:`RuleCompilationError` so callers can fall back to the reference
-engine.
+Every rule base the toolkit can express — AND-only conjunctions of plain
+propositions — compiles, and the results are bit-for-bit identical to the
+reference engine.  This is locked down by the equivalence tests in
+``tests/fuzzy/test_compiled_engine.py``.
 
 An optional LRU cache memoises crisp inferences, keyed on the (optionally
 quantized) input tuple.  With ``cache_quantization=None`` the keys are exact
@@ -62,20 +56,17 @@ from .defuzzification import (
 )
 from .inference import (
     BatchInference,
-    ImplicationMethod,
     InferenceResult,
     MamdaniEngine,
     RuleActivation,
 )
 from .membership import Trapezoidal, Triangular
-from .operators import MAXIMUM, MINIMUM, SNorm, TNorm
-from .rules import RuleBase, _is_pure_conjunction, _propositions
+from .rules import RuleBase, _propositions
 from .variables import LinguisticVariable, Term
 
 __all__ = [
     "CompiledMamdaniEngine",
     "CrispInference",
-    "RuleCompilationError",
     "CacheInfo",
 ]
 
@@ -84,10 +75,6 @@ _EPS = 1e-12
 # evaluation of Triangular bitwise.
 _ISCLOSE_RTOL = 1e-5
 _ISCLOSE_ATOL = 1e-8
-
-
-class RuleCompilationError(ValueError):
-    """Raised when a rule base cannot be lowered to the compiled form."""
 
 
 @dataclass(frozen=True)
@@ -176,7 +163,7 @@ class CompiledMamdaniEngine(MamdaniEngine):
 
     Parameters
     ----------
-    rule_base, tnorm, snorm, implication, defuzzifier:
+    rule_base, defuzzifier:
         As for :class:`MamdaniEngine`.
     cache_size:
         Maximum number of crisp inferences memoised by the LRU cache;
@@ -186,31 +173,16 @@ class CompiledMamdaniEngine(MamdaniEngine):
         the cache on the exact input floats (cached results are then
         identical to recomputation); a positive step buckets nearby inputs
         together, trading exactness for hit rate.
-
-    Raises
-    ------
-    RuleCompilationError
-        When a rule uses OR/NOT connectives or hedges and therefore cannot
-        be lowered to the index-matrix form.
     """
 
     def __init__(
         self,
         rule_base: RuleBase,
-        tnorm: TNorm = MINIMUM,
-        snorm: SNorm = MAXIMUM,
-        implication: str = ImplicationMethod.CLIP,
         defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
         cache_size: int = 0,
         cache_quantization: float | None = None,
     ):
-        super().__init__(
-            rule_base,
-            tnorm=tnorm,
-            snorm=snorm,
-            implication=implication,
-            defuzzifier=defuzzifier,
-        )
+        super().__init__(rule_base, defuzzifier=defuzzifier)
         if cache_size < 0:
             raise ValueError(f"cache_size must be non-negative, got {cache_size}")
         if cache_quantization is not None and cache_quantization <= 0.0:
@@ -236,7 +208,7 @@ class CompiledMamdaniEngine(MamdaniEngine):
 
         # Flat degree vector layout: one slot per (variable, term) in
         # variable order, plus a trailing slot pinned to 1.0 — the identity
-        # of every t-norm — used to pad rules with fewer propositions.
+        # of the minimum — used to pad rules with fewer propositions.
         slot_of: dict[tuple[str, str], int] = {}
         fuzzify_plan: list[
             tuple[str, float, float, int, list[Callable[[float], float]]]
@@ -272,20 +244,10 @@ class CompiledMamdaniEngine(MamdaniEngine):
         # thread-pool sweep executor.
         self._degree_local = threading.local()
 
-        rows: list[list[int]] = []
-        for rule in rule_base:
-            if not _is_pure_conjunction(rule.antecedent):
-                raise RuleCompilationError(
-                    f"rule {rule.label or rule} uses OR/NOT connectives; only pure "
-                    f"conjunctions can be compiled — use MamdaniEngine instead"
-                )
-            props = _propositions(rule.antecedent)
-            if any(prop.hedge is not None for prop in props):
-                raise RuleCompilationError(
-                    f"rule {rule.label or rule} uses hedges, which the compiled "
-                    f"engine does not support — use MamdaniEngine instead"
-                )
-            rows.append([slot_of[(prop.variable, prop.term)] for prop in props])
+        rows = [
+            [slot_of[(prop.variable, prop.term)] for prop in _propositions(rule.antecedent)]
+            for rule in rule_base
+        ]
 
         width = max(len(row) for row in rows)
         index = np.full((len(rows), width), self._identity_slot, dtype=np.intp)
@@ -325,44 +287,40 @@ class CompiledMamdaniEngine(MamdaniEngine):
             plans[var_name] = (np.asarray(entry_rules, dtype=np.intp), tensor, variable)
         self._consequent_plans = plans
 
-        # Term-grouped consequent plans: the batched MAXIMUM-s-norm fast
-        # path.  Rules sharing a consequent term have *identical* implication
-        # surfaces, and with max as the s-norm the per-entry fold
-        # ``max_e f(T, s_e)`` equals ``f(T, max_e s_e)`` for both
-        # implications (min and scaling by a non-negative surface are
-        # monotone selections/operations, so this is exact, not just
-        # algebraically true) — the implication tensor shrinks from one row
-        # per rule to one row per distinct term.  Each term's clipped
-        # surface is exactly zero outside its membership support — the
-        # identity of max — so aggregation touches only the support slice.
+        # Term-grouped consequent plans: the batched path.  Rules sharing a
+        # consequent term have *identical* implication surfaces, and the
+        # per-entry fold ``max_e min(T, s_e)`` equals ``min(T, max_e s_e)``
+        # (min against a fixed surface is a monotone selection, so this is
+        # exact, not just algebraically true) — the implication tensor
+        # shrinks from one row per rule to one row per distinct term.  Each
+        # term's clipped surface is exactly zero outside its membership
+        # support — the identity of max — so aggregation touches only the
+        # support slice.
         grouped: dict[
             str, tuple[list[np.ndarray], list[np.ndarray], list[tuple[int, int]], int]
         ] = {}
-        if self._snorm is MAXIMUM:
-            for var_name, variable in rule_base.output_variables.items():
-                term_rules: dict[str, list[int]] = {}
-                for rule_index, rule in enumerate(rule_base):
-                    for consequent in rule.consequents:
-                        if consequent.variable == var_name:
-                            term_rules.setdefault(consequent.term, []).append(rule_index)
-                term_surfaces: list[np.ndarray] = []
-                term_columns: list[np.ndarray] = []
-                supports: list[tuple[int, int]] = []
-                for term, rule_indices in term_rules.items():
-                    surface = self._output_term_surfaces[var_name][term]
-                    nonzero = np.flatnonzero(surface != 0.0)
-                    start, stop = (
-                        (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
-                    )
-                    term_surfaces.append(np.ascontiguousarray(surface[start:stop]))
-                    term_columns.append(np.asarray(rule_indices, dtype=np.intp))
-                    supports.append((start, stop))
-                grouped[var_name] = (
-                    term_surfaces,
-                    term_columns,
-                    supports,
-                    int(variable.grid.shape[0]),
-                )
+        for var_name, variable in rule_base.output_variables.items():
+            term_rules: dict[str, list[int]] = {}
+            for rule_index, rule in enumerate(rule_base):
+                for consequent in rule.consequents:
+                    if consequent.variable == var_name:
+                        term_rules.setdefault(consequent.term, []).append(rule_index)
+            term_surfaces: list[np.ndarray] = []
+            term_columns: list[np.ndarray] = []
+            supports: list[tuple[int, int]] = []
+            for term, rule_indices in term_rules.items():
+                surface = self._output_term_surfaces[var_name][term]
+                nonzero = np.flatnonzero(surface != 0.0)
+                start, stop = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+                term_surfaces.append(np.ascontiguousarray(surface[start:stop]))
+                term_columns.append(np.asarray(rule_indices, dtype=np.intp))
+                supports.append((start, stop))
+            grouped[var_name] = (
+                term_surfaces,
+                term_columns,
+                supports,
+                int(variable.grid.shape[0]),
+            )
         self._grouped_consequent_plans = grouped
 
     # ------------------------------------------------------------------
@@ -421,9 +379,8 @@ class CompiledMamdaniEngine(MamdaniEngine):
     def _firing_strengths(self, buffer: np.ndarray) -> np.ndarray:
         picked = buffer[self._antecedent_index]
         strengths = picked[:, 0]
-        tnorm = self._tnorm
         for column in range(1, self._antecedent_width):
-            strengths = np.asarray(tnorm(strengths, picked[:, column]))
+            strengths = np.minimum(strengths, picked[:, column])
         if not self._trivial_weights:
             strengths = self._weights * strengths
         return strengths
@@ -447,19 +404,10 @@ class CompiledMamdaniEngine(MamdaniEngine):
             surfaces, fired_strengths = tensor, entry_strengths
         else:
             surfaces, fired_strengths = tensor[fired], entry_strengths[fired]
-        if self._implication == ImplicationMethod.CLIP:
-            clipped = np.minimum(surfaces, fired_strengths[:, None])
-        else:
-            clipped = surfaces * fired_strengths[:, None]
-        if self._snorm is MAXIMUM:
-            # Clipped surfaces are non-negative, so the axis reduction equals
-            # the reference engine's fold from a zero surface bit-for-bit.
-            return clipped.max(axis=0)
-        aggregated = np.zeros(tensor.shape[1])
-        snorm = self._snorm
-        for row in clipped:
-            aggregated = np.asarray(snorm(aggregated, row))
-        return aggregated
+        clipped = np.minimum(surfaces, fired_strengths[:, None])
+        # Clipped surfaces are non-negative, so the axis reduction equals
+        # the reference engine's fold from a zero surface bit-for-bit.
+        return clipped.max(axis=0)
 
     def _defuzzify_fast(
         self, var_name: str, variable: LinguisticVariable, surface: np.ndarray
@@ -561,9 +509,9 @@ class CompiledMamdaniEngine(MamdaniEngine):
     # ------------------------------------------------------------------
     # Batched hot path
     # ------------------------------------------------------------------
-    #: Upper bound on elements of the (rows, entries, grid) implication
-    #: tensor materialised per block; rows are independent, so chunking
-    #: changes peak memory but not a single bit of the results.
+    #: Upper bound on elements of the per-block working set; rows are
+    #: independent, so chunking changes peak memory but not a single bit of
+    #: the results.
     _BATCH_BLOCK_ELEMENTS = 8_000_000
 
     def _fill_degrees_batch(self, matrix: np.ndarray) -> np.ndarray:
@@ -585,54 +533,11 @@ class CompiledMamdaniEngine(MamdaniEngine):
         """All rules' firing strengths for all rows: ``(N, n_rules)``."""
         picked = degrees[:, self._antecedent_index]
         strengths = picked[:, :, 0]
-        tnorm = self._tnorm
         for column in range(1, self._antecedent_width):
-            strengths = np.asarray(tnorm(strengths, picked[:, :, column]))
+            strengths = np.minimum(strengths, picked[:, :, column])
         if not self._trivial_weights:
             strengths = self._weights * strengths
         return strengths
-
-    def _aggregate_output_batch(
-        self,
-        strengths: np.ndarray,
-        entry_rules: np.ndarray,
-        tensor: np.ndarray,
-        var_name: str,
-        row_offset: int = 0,
-    ) -> np.ndarray:
-        """Aggregated output surfaces for all rows: ``(N, resolution)``.
-
-        Rows where no entry fired would defuzzify garbage, so they raise just
-        like the scalar path (``row_offset`` maps a block-local row back to
-        its index in the caller's full batch).  Non-fired entries contribute
-        an all-zero clipped surface, the identity of every s-norm, so folding
-        over *all* entries equals the scalar path's fold over the fired
-        subset.
-        """
-        grouped = self._grouped_consequent_plans.get(var_name)
-        if grouped is not None:
-            return self._aggregate_output_batch_grouped(
-                strengths, grouped, var_name, row_offset
-            )
-        entry_strengths = strengths[:, entry_rules]
-        fired_any = (entry_strengths > 0.0).any(axis=1)
-        if not fired_any.all():
-            row = row_offset + int(np.flatnonzero(~fired_any)[0])
-            raise DefuzzificationError(
-                f"no rule fired for output variable {var_name!r} at batch row "
-                f"{row}; the rule base does not cover this input region"
-            )
-        if self._implication == ImplicationMethod.CLIP:
-            clipped = np.minimum(tensor[None, :, :], entry_strengths[:, :, None])
-        else:
-            clipped = tensor[None, :, :] * entry_strengths[:, :, None]
-        if self._snorm is MAXIMUM:
-            return clipped.max(axis=1)
-        aggregated = np.zeros((clipped.shape[0], clipped.shape[2]))
-        snorm = self._snorm
-        for entry in range(clipped.shape[1]):
-            aggregated = np.asarray(snorm(aggregated, clipped[:, entry, :]))
-        return aggregated
 
     @staticmethod
     def _term_strengths_batch(
@@ -640,9 +545,9 @@ class CompiledMamdaniEngine(MamdaniEngine):
     ) -> np.ndarray:
         """Per-consequent-term maximum firing strengths: ``(N, n_terms)``.
 
-        With the MAXIMUM s-norm a term's effective clip level is the maximum
-        strength over the rules concluding in it; strengths are non-negative,
-        so ``any(term > 0)`` is also exactly the per-entry fired check.
+        A term's effective clip level is the maximum strength over the rules
+        concluding in it; strengths are non-negative, so ``any(term > 0)`` is
+        also exactly the per-entry fired check.
         """
         count = strengths.shape[0]
         term_strengths = np.empty((count, len(term_columns)))
@@ -662,14 +567,17 @@ class CompiledMamdaniEngine(MamdaniEngine):
         var_name: str,
         row_offset: int,
     ) -> np.ndarray:
-        """:meth:`_aggregate_output_batch` via the term-grouped plan.
+        """Aggregated output surfaces for all rows: ``(N, resolution)``.
 
-        Bit-identical to the per-entry fold: strengths are non-negative, so
-        the term strength ``max_e s_e`` selects the entry that would win the
-        element-wise maximum anyway (min against a fixed surface and scaling
-        by a non-negative surface are both monotone in the strength), and
-        outside a term's support its clipped surface is exactly ``0.0`` —
-        the identity the zero-initialised accumulator already holds.
+        Rows where no rule fired would defuzzify garbage, so they raise just
+        like the scalar path (``row_offset`` maps a block-local row back to
+        its index in the caller's full batch).  Runs on the term-grouped
+        plan, bit-identical to the scalar path's per-entry fold: strengths
+        are non-negative, so the term strength ``max_e s_e`` selects the
+        entry that would win the element-wise maximum anyway (min against a
+        fixed surface is monotone in the strength), and outside a term's
+        support its clipped surface is exactly ``0.0`` — the identity the
+        zero-initialised accumulator already holds.
         """
         term_surfaces, term_columns, supports, grid_length = grouped
         count = strengths.shape[0]
@@ -682,15 +590,10 @@ class CompiledMamdaniEngine(MamdaniEngine):
                 f"{row}; the rule base does not cover this input region"
             )
         aggregated = np.zeros((count, grid_length))
-        clip = self._implication == ImplicationMethod.CLIP
         for t, (start, stop) in enumerate(supports):
             if start == stop:
                 continue
-            column = term_strengths[:, t, None]
-            if clip:
-                contribution = np.minimum(term_surfaces[t], column)
-            else:
-                contribution = term_surfaces[t] * column
+            contribution = np.minimum(term_surfaces[t], term_strengths[:, t, None])
             window = aggregated[:, start:stop]
             np.maximum(window, contribution, out=window)
         return aggregated
@@ -726,9 +629,9 @@ class CompiledMamdaniEngine(MamdaniEngine):
         degrees = self._fill_degrees_batch(matrix)
         strengths = self._firing_strengths_batch(degrees)
         outputs: dict[str, np.ndarray] = {}
-        for var_name, (entry_rules, tensor, variable) in self._consequent_plans.items():
-            aggregated = self._aggregate_output_batch(
-                strengths, entry_rules, tensor, var_name, row_offset=row_offset
+        for var_name, (_, _, variable) in self._consequent_plans.items():
+            aggregated = self._aggregate_output_batch_grouped(
+                strengths, self._grouped_consequent_plans[var_name], var_name, row_offset
             )
             outputs[var_name] = self._defuzzify_fast_batch(var_name, variable, aggregated)
         return outputs, np.argmax(strengths, axis=1)
@@ -745,21 +648,16 @@ class CompiledMamdaniEngine(MamdaniEngine):
         """
         matrix = self._batch_matrix(inputs)
         count = matrix.shape[0]
+        # The grouped path never materialises the full implication tensor;
+        # its per-row footprint is one aggregated surface plus one
+        # support-sliced contribution.
         max_entries = max(
-            (plan[1].shape[0] * plan[1].shape[1] for plan in self._consequent_plans.values()),
+            (
+                grid_length + max((stop - start for start, stop in supports), default=0)
+                for _, _, supports, grid_length in self._grouped_consequent_plans.values()
+            ),
             default=1,
         )
-        if self._grouped_consequent_plans:
-            # The grouped path never materialises the full implication
-            # tensor; its per-row footprint is one aggregated surface plus
-            # one support-sliced contribution.
-            max_entries = max(
-                (
-                    grid_length + max((stop - start for start, stop in supports), default=0)
-                    for _, _, supports, grid_length in self._grouped_consequent_plans.values()
-                ),
-                default=1,
-            )
         block = max(1, self._BATCH_BLOCK_ELEMENTS // max(max_entries, 1))
         if count <= block:
             outputs, dominant = self._infer_batch_block(matrix)

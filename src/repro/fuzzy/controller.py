@@ -14,35 +14,26 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..registry import Registry
-from .compiled import CompiledMamdaniEngine, CrispInference, RuleCompilationError
-from .defuzzification import DEFAULT_DEFUZZIFIER, Defuzzifier, defuzzifier_by_name
-from .inference import ImplicationMethod, InferenceResult, MamdaniEngine
-from .operators import MAXIMUM, MINIMUM, SNorm, TNorm, snorm_by_name, tnorm_by_name
+from .compiled import CompiledMamdaniEngine, CrispInference
+from .defuzzification import DEFAULT_DEFUZZIFIER, Defuzzifier
+from .inference import InferenceResult, MamdaniEngine
 from .parser import parse_rules
-from .rules import FuzzyRule, RuleBase
+from .rules import FuzzyRule, RuleBase, _propositions
 from .variables import LinguisticVariable
 
 __all__ = [
     "FuzzyController",
-    "ControllerSpec",
     "EngineSpec",
     "ENGINES",
-    "ENGINE_CHOICES",
 ]
 
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """One registered inference-engine mode.
-
-    ``cli`` marks the modes exposed through the CLI's ``--engine`` flag
-    (``"auto"`` is a library-only convenience: the CLI always makes the
-    choice explicit so runs are self-describing).
-    """
+    """One registered inference-engine mode."""
 
     name: str
     description: str
-    cli: bool = True
 
 
 #: Registry of inference-engine modes accepted by :class:`FuzzyController`
@@ -50,69 +41,17 @@ class EngineSpec:
 #: flag) — the single source of truth for the engine *name set* used in
 #: validation, CLI choices and error messages.  Unlike the controller and
 #: executor registries this one is metadata-only: adding a mode also
-#: requires a dispatch branch in ``FuzzyController.__init__``, which raises
-#: on registered-but-undispatched names rather than guessing.
+#: requires a dispatch branch in ``FuzzyController.__init__``.
 ENGINES: Registry[EngineSpec] = Registry("engine")
 
 ENGINES.register(
     "compiled",
-    EngineSpec(
-        "compiled",
-        "vectorized fast path lowered to numpy tensors; requires a "
-        "compilable (pure-conjunction) rule base",
-    ),
+    EngineSpec("compiled", "vectorized fast path lowered to numpy tensors"),
 )
 ENGINES.register(
     "reference",
     EngineSpec("reference", "interpreted per-rule Mamdani engine"),
 )
-ENGINES.register(
-    "auto",
-    EngineSpec(
-        "auto",
-        "compile when the rule base allows it, silently fall back otherwise",
-        cli=False,
-    ),
-)
-
-#: Engine names (backwards-compatible alias; prefer ``ENGINES.names()``).
-#: Derived from the registry, sorted-stable for existing error messages.
-ENGINE_CHOICES = tuple(sorted(ENGINES))
-
-
-@dataclass(frozen=True)
-class ControllerSpec:
-    """Declarative description of a fuzzy controller.
-
-    Keeps the configuration of FLC1/FLC2 (operators, implication,
-    defuzzifier) serialisable and comparable in tests and ablations.
-    """
-
-    name: str
-    tnorm: str = "minimum"
-    snorm: str = "maximum"
-    implication: str = ImplicationMethod.CLIP
-    defuzzifier: str = "centroid"
-    engine: str = "auto"
-
-    def build(
-        self,
-        inputs: Sequence[LinguisticVariable],
-        outputs: Sequence[LinguisticVariable],
-        rules: Sequence[FuzzyRule] | str,
-    ) -> "FuzzyController":
-        """Materialise the spec into a runnable :class:`FuzzyController`."""
-        return FuzzyController(
-            name=self.name,
-            inputs=inputs,
-            outputs=outputs,
-            rules=rules,
-            tnorm=tnorm_by_name(self.tnorm),
-            snorm=snorm_by_name(self.snorm),
-            implication=self.implication,
-            defuzzifier=defuzzifier_by_name(self.defuzzifier),
-            engine=self.engine,
-        )
 
 
 class FuzzyController:
@@ -127,13 +66,15 @@ class FuzzyController:
     rules:
         Either pre-built :class:`FuzzyRule` objects or a rule-DSL string /
         list of strings (see :mod:`repro.fuzzy.parser`).
+    defuzzifier:
+        Strategy reducing the aggregated output set to a crisp value
+        (paper default: centroid).
     engine:
-        ``"auto"`` (default) uses the vectorized
-        :class:`~repro.fuzzy.compiled.CompiledMamdaniEngine` whenever the
-        rule base is compilable and falls back to the interpreted
-        :class:`MamdaniEngine` otherwise; ``"compiled"`` requires the fast
-        path (raising :class:`RuleCompilationError` when impossible);
-        ``"reference"`` always interprets.
+        ``"compiled"`` (default) runs the vectorized
+        :class:`~repro.fuzzy.compiled.CompiledMamdaniEngine`;
+        ``"reference"`` runs the interpreted :class:`MamdaniEngine`.  Both
+        infer with min conjunction, clip implication and max aggregation
+        and agree bit for bit.
     """
 
     def __init__(
@@ -142,11 +83,8 @@ class FuzzyController:
         inputs: Sequence[LinguisticVariable],
         outputs: Sequence[LinguisticVariable],
         rules: Sequence[FuzzyRule] | Iterable[str] | str,
-        tnorm: TNorm = MINIMUM,
-        snorm: SNorm = MAXIMUM,
-        implication: str = ImplicationMethod.CLIP,
         defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
-        engine: str = "auto",
+        engine: str = "compiled",
     ):
         if isinstance(rules, str):
             rule_objs: Sequence[FuzzyRule] = parse_rules(rules)
@@ -166,26 +104,10 @@ class FuzzyController:
             )
         self._name = name
         self._rule_base = RuleBase(rule_objs, inputs, outputs, name=f"{name}-rules")
-        engine_kwargs = dict(
-            tnorm=tnorm,
-            snorm=snorm,
-            implication=implication,
-            defuzzifier=defuzzifier,
-        )
         if engine == "reference":
-            self._engine: MamdaniEngine = MamdaniEngine(self._rule_base, **engine_kwargs)
+            self._engine: MamdaniEngine = MamdaniEngine(self._rule_base, defuzzifier)
         else:
-            if engine != "auto" and engine != "compiled":  # pragma: no cover
-                raise ValueError(
-                    f"engine {engine!r} is registered but has no dispatch "
-                    f"branch in FuzzyController"
-                )
-            try:
-                self._engine = CompiledMamdaniEngine(self._rule_base, **engine_kwargs)
-            except RuleCompilationError:
-                if engine == "compiled":
-                    raise
-                self._engine = MamdaniEngine(self._rule_base, **engine_kwargs)
+            self._engine = CompiledMamdaniEngine(self._rule_base, defuzzifier)
 
     # ------------------------------------------------------------------
     @property
@@ -287,16 +209,12 @@ class FuzzyController:
     def rule_table(self) -> list[dict[str, str]]:
         """Render the rule base as a list of ``{column: value}`` rows.
 
-        Only meaningful for grid rule bases made of pure conjunctions (as
-        FRB1 and FRB2 are); each row contains one column per input variable
-        plus one per output variable, which is exactly the layout of Tables 1
-        and 2 of the paper.
+        Each row contains one column per input variable plus one per output
+        variable, which is exactly the layout of Tables 1 and 2 of the paper.
         """
         rows: list[dict[str, str]] = []
         for rule in self._rule_base:
             row: dict[str, str] = {"Rule": rule.label}
-            from .rules import _propositions  # local import to avoid cycle at module load
-
             for prop in _propositions(rule.antecedent):
                 row[prop.variable] = prop.term
             for consequent in rule.consequents:

@@ -36,15 +36,7 @@ from typing import Any, Iterable, Mapping
 from .controller import FuzzyController
 from .defuzzification import Defuzzifier, defuzzifier_by_name
 from .membership import MembershipFunction, Trapezoidal, Triangular
-from .rules import (
-    And,
-    Consequent,
-    FuzzyRule,
-    Proposition,
-    RuleBase,
-    _is_pure_conjunction,
-    _propositions,
-)
+from .rules import And, Consequent, FuzzyRule, Proposition, RuleBase, _propositions
 from .variables import LinguisticVariable, Term
 
 __all__ = [
@@ -334,7 +326,7 @@ class FLCDefinition:
         try:
             defuzzifier_by_name(self.defuzzifier)
         except KeyError as exc:
-            raise DefinitionError(str(exc)) from exc
+            raise DefinitionError(exc.args[0]) from exc
         inputs = {v.name: set(v.term_names()) for v in self.inputs}
         outputs = {v.name: set(v.term_names()) for v in self.outputs}
         for rule in self.rules:
@@ -424,7 +416,7 @@ class FLCDefinition:
     # -- compilation -----------------------------------------------------
 
     def build_controller(
-        self, engine: str = "auto", defuzzifier: Defuzzifier | None = None
+        self, engine: str = "compiled", defuzzifier: Defuzzifier | None = None
     ) -> FuzzyController:
         """Compile into a live :class:`FuzzyController`.
 
@@ -505,22 +497,8 @@ def _variable_def(variable: LinguisticVariable) -> VariableDef:
 
 
 def _rule_def(rule: FuzzyRule) -> RuleDef:
-    if not _is_pure_conjunction(rule.antecedent):
-        raise DefinitionError(
-            f"rule {rule.label!r} is not a pure conjunction; only AND-of-"
-            f"propositions rules have a serializable definition"
-        )
-    pairs = []
-    for proposition in _propositions(rule.antecedent):
-        if proposition.hedge is not None:
-            raise DefinitionError(
-                f"rule {rule.label!r} uses a hedge on "
-                f"{proposition.variable!r}; hedged rules have no "
-                f"serializable definition"
-            )
-        pairs.append((proposition.variable, proposition.term))
     return RuleDef(
-        antecedent=tuple(pairs),
+        antecedent=tuple((p.variable, p.term) for p in _propositions(rule.antecedent)),
         consequents=tuple((c.variable, c.term) for c in rule.consequents),
         weight=rule.weight,
         label=rule.label,

@@ -3,7 +3,8 @@
 Mamdani inference produces an aggregated output fuzzy set sampled on the
 output variable's grid; a defuzzifier reduces it to a single crisp value.
 The paper's FLC uses the standard centre-of-gravity (centroid) defuzzifier;
-the alternatives here are used by the defuzzification ablation bench.
+the bisector and mean-of-maximum alternatives are what the registered
+``defuzz`` ablation compares it against.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ __all__ = [
     "Centroid",
     "Bisector",
     "MeanOfMaximum",
-    "SmallestOfMaximum",
-    "LargestOfMaximum",
-    "WeightedAverage",
     "defuzzifier_by_name",
     "DEFAULT_DEFUZZIFIER",
 ]
@@ -111,62 +109,9 @@ class MeanOfMaximum(Defuzzifier):
         return float(np.mean(at_peak))
 
 
-@dataclass(frozen=True)
-class SmallestOfMaximum(Defuzzifier):
-    """Smallest grid point attaining the maximum membership."""
-
-    name: str = "som"
-    tolerance: float = 1e-9
-
-    def defuzzify(self, grid: np.ndarray, surface: np.ndarray) -> float:
-        peak = float(np.max(surface))
-        at_peak = grid[surface >= peak - self.tolerance]
-        return float(np.min(at_peak))
-
-
-@dataclass(frozen=True)
-class LargestOfMaximum(Defuzzifier):
-    """Largest grid point attaining the maximum membership."""
-
-    name: str = "lom"
-    tolerance: float = 1e-9
-
-    def defuzzify(self, grid: np.ndarray, surface: np.ndarray) -> float:
-        peak = float(np.max(surface))
-        at_peak = grid[surface >= peak - self.tolerance]
-        return float(np.max(at_peak))
-
-
-@dataclass(frozen=True)
-class WeightedAverage(Defuzzifier):
-    """Height-weighted average — a fast approximation of the centroid.
-
-    Equivalent to the centroid for symmetric, non-overlapping consequent
-    sets; useful for latency-sensitive deployments of the controller.
-    """
-
-    name: str = "weighted_average"
-
-    def defuzzify(self, grid: np.ndarray, surface: np.ndarray) -> float:
-        total = float(np.sum(surface))
-        if total <= _EPS:
-            raise DefuzzificationError("zero total membership")
-        return float(np.sum(surface * grid) / total)
-
-
 DEFAULT_DEFUZZIFIER = Centroid()
 
-_REGISTRY: dict[str, Defuzzifier] = {
-    d.name: d
-    for d in (
-        Centroid(),
-        Bisector(),
-        MeanOfMaximum(),
-        SmallestOfMaximum(),
-        LargestOfMaximum(),
-        WeightedAverage(),
-    )
-}
+_REGISTRY: dict[str, Defuzzifier] = {d.name: d for d in (Centroid(), Bisector(), MeanOfMaximum())}
 
 
 def defuzzifier_by_name(name: str) -> Defuzzifier:
@@ -175,5 +120,5 @@ def defuzzifier_by_name(name: str) -> Defuzzifier:
         return _REGISTRY[name.lower()]
     except KeyError:
         raise KeyError(
-            f"unknown defuzzifier {name!r}; available: {sorted(_REGISTRY)}"
+            f"unknown defuzzifier {name!r}; available: {', '.join(sorted(_REGISTRY))}"
         ) from None

@@ -1,4 +1,4 @@
-"""Mamdani (and Larsen / Takagi–Sugeno zero-order) fuzzy inference engines.
+"""Mamdani fuzzy inference: the reference (interpreted) engine.
 
 The engine combines the four FLC blocks shown in Fig. 2 of the paper —
 fuzzifier, inference engine, fuzzy rule base and defuzzifier — into a single
@@ -6,12 +6,12 @@ fuzzifier, inference engine, fuzzy rule base and defuzzifier — into a single
 
 1. *Fuzzification*: crisp inputs are mapped to membership degrees of every
    input term.
-2. *Rule evaluation*: each rule's antecedent is evaluated with the configured
-   t-norm (default: minimum) and s-norm (default: maximum).
-3. *Implication*: the rule's consequent set is clipped (Mamdani / minimum) or
-   scaled (Larsen / product) by the firing strength.
+2. *Rule evaluation*: each rule's conjunctive antecedent is evaluated with
+   the minimum t-norm, then scaled by the rule weight.
+3. *Implication*: the rule's consequent set is clipped at the firing
+   strength (Mamdani).
 4. *Aggregation*: all clipped consequent surfaces for an output variable are
-   aggregated with the s-norm.
+   aggregated with the maximum s-norm.
 5. *Defuzzification*: the aggregated surface is reduced to a crisp output.
 """
 
@@ -23,26 +23,14 @@ from typing import Mapping
 import numpy as np
 
 from .defuzzification import DEFAULT_DEFUZZIFIER, DefuzzificationError, Defuzzifier
-from .operators import MAXIMUM, MINIMUM, PRODUCT, SNorm, TNorm
 from .rules import FuzzyRule, RuleBase
 
 __all__ = [
-    "ImplicationMethod",
     "RuleActivation",
     "InferenceResult",
     "BatchInference",
     "MamdaniEngine",
-    "SugenoEngine",
 ]
-
-
-class ImplicationMethod:
-    """Implication operators supported by :class:`MamdaniEngine`."""
-
-    CLIP = "clip"  # Mamdani: min(firing strength, mu)
-    SCALE = "scale"  # Larsen: firing strength * mu
-
-    ALL = (CLIP, SCALE)
 
 
 @dataclass(frozen=True)
@@ -105,11 +93,6 @@ class MamdaniEngine:
     ----------
     rule_base:
         Validated rule base with its input and output variables.
-    tnorm, snorm:
-        Conjunction and disjunction/aggregation operators (paper default:
-        minimum / maximum).
-    implication:
-        ``"clip"`` (Mamdani) or ``"scale"`` (Larsen).
     defuzzifier:
         Strategy reducing the aggregated output set to a crisp value
         (paper default: centroid).
@@ -118,20 +101,9 @@ class MamdaniEngine:
     def __init__(
         self,
         rule_base: RuleBase,
-        tnorm: TNorm = MINIMUM,
-        snorm: SNorm = MAXIMUM,
-        implication: str = ImplicationMethod.CLIP,
         defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
     ):
-        if implication not in ImplicationMethod.ALL:
-            raise ValueError(
-                f"unknown implication method {implication!r}; "
-                f"expected one of {ImplicationMethod.ALL}"
-            )
         self._rule_base = rule_base
-        self._tnorm = tnorm
-        self._snorm = snorm
-        self._implication = implication
         self._defuzzifier = defuzzifier
         # Pre-sample every output term on its variable grid once; inference
         # then only clips/aggregates arrays (hot path for the simulator).
@@ -160,18 +132,6 @@ class MamdaniEngine:
     def defuzzifier(self) -> Defuzzifier:
         return self._defuzzifier
 
-    @property
-    def tnorm(self) -> TNorm:
-        return self._tnorm
-
-    @property
-    def snorm(self) -> SNorm:
-        return self._snorm
-
-    @property
-    def implication(self) -> str:
-        return self._implication
-
     # ------------------------------------------------------------------
     def fuzzify(self, inputs: Mapping[str, float]) -> dict[str, dict[str, float]]:
         """Fuzzify crisp inputs against every input variable's term set."""
@@ -196,7 +156,7 @@ class MamdaniEngine:
         any_fired: dict[str, bool] = {name: False for name in aggregated}
 
         for rule in self._rule_base:
-            strength = rule.firing_strength(degrees, self._tnorm, self._snorm)
+            strength = rule.firing_strength(degrees)
             activations.append(RuleActivation(rule, strength))
             if strength <= 0.0:
                 continue
@@ -204,12 +164,9 @@ class MamdaniEngine:
                 term_surface = self._output_term_surfaces[consequent.variable][
                     consequent.term
                 ]
-                if self._implication == ImplicationMethod.CLIP:
-                    clipped = np.minimum(term_surface, strength)
-                else:
-                    clipped = term_surface * strength
+                clipped = np.minimum(term_surface, strength)
                 current = aggregated[consequent.variable]
-                aggregated[consequent.variable] = np.asarray(self._snorm(current, clipped))
+                aggregated[consequent.variable] = np.maximum(current, clipped)
                 any_fired[consequent.variable] = True
 
         outputs: dict[str, float] = {}
@@ -341,59 +298,3 @@ class MamdaniEngine:
         batch = self.infer_batch(matrix)
         surface = batch.outputs[output].reshape(resolution, resolution)
         return xs, ys, surface
-
-
-class SugenoEngine(MamdaniEngine):
-    """Zero-order Takagi–Sugeno engine: consequents collapse to term centroids.
-
-    Output is the firing-strength-weighted average of consequent term
-    centroids.  Provided for the controller ablation; the paper's system is
-    Mamdani.
-    """
-
-    def __init__(
-        self,
-        rule_base: RuleBase,
-        tnorm: TNorm = PRODUCT,
-        snorm: SNorm = MAXIMUM,
-    ):
-        super().__init__(rule_base, tnorm=tnorm, snorm=snorm)
-        self._term_centroids: dict[str, dict[str, float]] = {
-            var_name: {term.name: term.membership.centroid() for term in var}
-            for var_name, var in rule_base.output_variables.items()
-        }
-
-    def infer(self, inputs: Mapping[str, float]) -> InferenceResult:
-        degrees = self.fuzzify(inputs)
-        activations: list[RuleActivation] = []
-        numerator: dict[str, float] = {
-            name: 0.0 for name in self._rule_base.output_variables
-        }
-        denominator: dict[str, float] = {
-            name: 0.0 for name in self._rule_base.output_variables
-        }
-        for rule in self._rule_base:
-            strength = rule.firing_strength(degrees, self._tnorm, self._snorm)
-            activations.append(RuleActivation(rule, strength))
-            if strength <= 0.0:
-                continue
-            for consequent in rule.consequents:
-                centroid = self._term_centroids[consequent.variable][consequent.term]
-                numerator[consequent.variable] += strength * centroid
-                denominator[consequent.variable] += strength
-
-        outputs: dict[str, float] = {}
-        aggregated: dict[str, np.ndarray] = {}
-        for name, variable in self._rule_base.output_variables.items():
-            if denominator[name] <= 0.0:
-                raise DefuzzificationError(
-                    f"no rule fired for output variable {name!r} with inputs {dict(inputs)!r}"
-                )
-            outputs[name] = numerator[name] / denominator[name]
-            aggregated[name] = np.zeros(variable.resolution)
-        return InferenceResult(
-            outputs=outputs,
-            fuzzified_inputs=degrees,
-            activations=tuple(activations),
-            aggregated=aggregated,
-        )

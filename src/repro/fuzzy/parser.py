@@ -3,13 +3,14 @@
 Grammar (case-insensitive keywords, whitespace-insensitive)::
 
     rule        := "IF" antecedent "THEN" consequents
-    antecedent  := or_expr
-    or_expr     := and_expr ("OR" and_expr)*
-    and_expr    := unary_expr ("AND" unary_expr)*
-    unary_expr  := "NOT" unary_expr | "(" or_expr ")" | proposition
-    proposition := IDENT "IS" [hedge] IDENT
+    antecedent  := proposition ("AND" proposition)*
+    proposition := IDENT "IS" IDENT
     consequents := consequent ("AND" consequent)*
     consequent  := IDENT "IS" IDENT
+
+Rules are AND-only, as every FRB1/FRB2 rule is: ``OR``, ``NOT``,
+parentheses and hedge words (``x is very a``) are syntax errors that name
+the offending token and its position.
 
 Example::
 
@@ -25,15 +26,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .hedges import hedge_by_name
-from .rules import And, Antecedent, Consequent, FuzzyRule, Not, Or, Proposition
+from .rules import And, Antecedent, Consequent, FuzzyRule, Proposition
 
 __all__ = ["parse_rule", "parse_rules", "RuleSyntaxError"]
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<word>[A-Za-z_][A-Za-z0-9_/\-]*))"
-)
+_TOKEN_RE = re.compile(r"\s*(?P<word>[A-Za-z_][A-Za-z0-9_/\-]*)")
 
+# "or" and "not" stay reserved so a retired connective fails at its own token.
 _KEYWORDS = {"if", "then", "is", "and", "or", "not"}
 
 
@@ -43,7 +42,6 @@ class RuleSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # "word", "lparen", "rparen"
     text: str
     position: int
 
@@ -54,18 +52,14 @@ def _tokenize(text: str) -> list[_Token]:
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
-            remainder = text[pos:].strip()
+            remainder = text[pos:].lstrip()
             if not remainder:
                 break
             raise RuleSyntaxError(
-                f"unexpected character {remainder[0]!r} at position {pos} in rule: {text!r}"
+                f"unexpected character {remainder[0]!r} at position "
+                f"{len(text) - len(remainder)} in rule: {text!r}"
             )
-        if match.lastgroup == "word":
-            tokens.append(_Token("word", match.group("word"), match.start("word")))
-        elif match.lastgroup == "lparen":
-            tokens.append(_Token("lparen", "(", match.start()))
-        elif match.lastgroup == "rparen":
-            tokens.append(_Token("rparen", ")", match.start()))
+        tokens.append(_Token(match.group("word"), match.start("word")))
         pos = match.end()
     return tokens
 
@@ -91,7 +85,7 @@ class _Parser:
 
     def _expect_keyword(self, keyword: str) -> None:
         token = self._next()
-        if token.kind != "word" or token.text.lower() != keyword:
+        if token.text.lower() != keyword:
             raise RuleSyntaxError(
                 f"expected {keyword.upper()!r} but found {token.text!r} "
                 f"at position {token.position} in rule: {self.text!r}"
@@ -99,73 +93,35 @@ class _Parser:
 
     def _peek_keyword(self, keyword: str) -> bool:
         token = self._peek()
-        return token is not None and token.kind == "word" and token.text.lower() == keyword
+        return token is not None and token.text.lower() == keyword
 
     # -- grammar -------------------------------------------------------
     def parse_rule(self, weight: float, label: str) -> FuzzyRule:
         self._expect_keyword("if")
-        antecedent = self._parse_or()
+        antecedent = self._parse_antecedent()
         self._expect_keyword("then")
         consequents = self._parse_consequents()
-        if self._peek() is not None:
-            token = self._peek()
+        token = self._peek()
+        if token is not None:
             raise RuleSyntaxError(
-                f"unexpected trailing token {token.text!r} in rule: {self.text!r}"
+                f"unexpected trailing token {token.text!r} at position "
+                f"{token.position} in rule: {self.text!r}"
             )
         return FuzzyRule(antecedent, tuple(consequents), weight=weight, label=label)
 
-    def _parse_or(self) -> Antecedent:
-        operands = [self._parse_and()]
-        while self._peek_keyword("or"):
-            self._next()
-            operands.append(self._parse_and())
-        if len(operands) == 1:
-            return operands[0]
-        return Or(tuple(operands))
-
-    def _parse_and(self) -> Antecedent:
-        operands = [self._parse_unary()]
+    def _parse_antecedent(self) -> Antecedent:
+        operands = [self._parse_proposition()]
         while self._peek_keyword("and"):
             self._next()
-            operands.append(self._parse_unary())
+            operands.append(self._parse_proposition())
         if len(operands) == 1:
             return operands[0]
         return And(tuple(operands))
 
-    def _parse_unary(self) -> Antecedent:
-        if self._peek_keyword("not"):
-            self._next()
-            return Not(self._parse_unary())
-        token = self._peek()
-        if token is not None and token.kind == "lparen":
-            self._next()
-            inner = self._parse_or()
-            closing = self._next()
-            if closing.kind != "rparen":
-                raise RuleSyntaxError(
-                    f"expected ')' but found {closing.text!r} in rule: {self.text!r}"
-                )
-            return inner
-        return self._parse_proposition()
-
     def _parse_proposition(self) -> Proposition:
         variable = self._parse_identifier("variable name")
         self._expect_keyword("is")
-        first = self._parse_identifier("term name")
-        # Optional hedge: "S is very Fast" — 'very' resolves as a hedge and the
-        # following word becomes the term.
-        nxt = self._peek()
-        if nxt is not None and nxt.kind == "word" and nxt.text.lower() not in _KEYWORDS:
-            try:
-                hedge = hedge_by_name(first)
-            except KeyError:
-                raise RuleSyntaxError(
-                    f"unexpected token {nxt.text!r} after term {first!r} "
-                    f"in rule: {self.text!r}"
-                ) from None
-            term = self._parse_identifier("term name")
-            return Proposition(variable, term, hedge=hedge)
-        return Proposition(variable, first)
+        return Proposition(variable, self._parse_identifier("term name"))
 
     def _parse_consequents(self) -> list[Consequent]:
         consequents = [self._parse_consequent()]
@@ -182,7 +138,7 @@ class _Parser:
 
     def _parse_identifier(self, what: str) -> str:
         token = self._next()
-        if token.kind != "word" or token.text.lower() in _KEYWORDS:
+        if token.text.lower() in _KEYWORDS:
             raise RuleSyntaxError(
                 f"expected {what} but found {token.text!r} "
                 f"at position {token.position} in rule: {self.text!r}"

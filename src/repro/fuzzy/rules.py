@@ -4,9 +4,9 @@ Rules have the paper's form ``IF "conditions" THEN "control action"``:
 
     IF S is Sl AND A is B1 AND D is N THEN Cv is Cv3
 
-Antecedents are expression trees over atomic propositions
-(``variable IS [hedge] term``) combined with AND / OR / NOT, so arbitrary
-rule structures are supported even though FRB1/FRB2 only use conjunctions.
+An antecedent is an atomic proposition ``variable IS term`` or a
+conjunction of them, exactly the shape of every FRB1/FRB2 rule.  The
+conjunction is the minimum t-norm.
 """
 
 from __future__ import annotations
@@ -15,16 +15,14 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .hedges import Hedge
-from .operators import SNorm, TNorm, MINIMUM, MAXIMUM
+import numpy as np
+
 from .variables import LinguisticVariable
 
 __all__ = [
     "Antecedent",
     "Proposition",
     "And",
-    "Or",
-    "Not",
     "Consequent",
     "FuzzyRule",
     "RuleBase",
@@ -35,12 +33,7 @@ class Antecedent(ABC):
     """Node of a rule antecedent expression tree."""
 
     @abstractmethod
-    def firing_strength(
-        self,
-        degrees: Mapping[str, Mapping[str, float]],
-        tnorm: TNorm,
-        snorm: SNorm,
-    ) -> float:
+    def firing_strength(self, degrees: Mapping[str, Mapping[str, float]]) -> float:
         """Evaluate the antecedent given fuzzified input degrees.
 
         ``degrees`` maps variable name -> term name -> membership degree.
@@ -51,31 +44,19 @@ class Antecedent(ABC):
         """Names of the linguistic variables referenced by this expression."""
 
     # Operator sugar so rules can be written programmatically:
-    # (Proposition(...) & Proposition(...)) | ~Proposition(...)
+    # Proposition(...) & Proposition(...)
     def __and__(self, other: "Antecedent") -> "And":
         return And((self, other))
-
-    def __or__(self, other: "Antecedent") -> "Or":
-        return Or((self, other))
-
-    def __invert__(self) -> "Not":
-        return Not(self)
 
 
 @dataclass(frozen=True)
 class Proposition(Antecedent):
-    """Atomic antecedent ``variable IS [hedge] term``."""
+    """Atomic antecedent ``variable IS term``."""
 
     variable: str
     term: str
-    hedge: Hedge | None = None
 
-    def firing_strength(
-        self,
-        degrees: Mapping[str, Mapping[str, float]],
-        tnorm: TNorm,
-        snorm: SNorm,
-    ) -> float:
+    def firing_strength(self, degrees: Mapping[str, Mapping[str, float]]) -> float:
         try:
             var_degrees = degrees[self.variable]
         except KeyError:
@@ -83,26 +64,22 @@ class Proposition(Antecedent):
                 f"no fuzzified degrees supplied for variable {self.variable!r}"
             ) from None
         try:
-            mu = float(var_degrees[self.term])
+            return float(var_degrees[self.term])
         except KeyError:
             raise KeyError(
                 f"variable {self.variable!r} has no fuzzified term {self.term!r}"
             ) from None
-        if self.hedge is not None:
-            mu = float(self.hedge(mu))
-        return mu
 
     def variables(self) -> set[str]:
         return {self.variable}
 
     def __str__(self) -> str:
-        hedge = f"{self.hedge.name} " if self.hedge else ""
-        return f"{self.variable} is {hedge}{self.term}"
+        return f"{self.variable} is {self.term}"
 
 
 @dataclass(frozen=True)
 class And(Antecedent):
-    """Conjunction of sub-antecedents, combined with the engine's t-norm."""
+    """Conjunction of sub-antecedents, combined with the minimum t-norm."""
 
     operands: tuple[Antecedent, ...]
 
@@ -110,13 +87,12 @@ class And(Antecedent):
         if len(self.operands) < 2:
             raise ValueError("And requires at least two operands")
 
-    def firing_strength(
-        self,
-        degrees: Mapping[str, Mapping[str, float]],
-        tnorm: TNorm,
-        snorm: SNorm,
-    ) -> float:
-        return tnorm.reduce(op.firing_strength(degrees, tnorm, snorm) for op in self.operands)
+    def firing_strength(self, degrees: Mapping[str, Mapping[str, float]]) -> float:
+        strengths = [op.firing_strength(degrees) for op in self.operands]
+        result = strengths[0]
+        for strength in strengths[1:]:
+            result = float(np.minimum(result, strength))
+        return result
 
     def variables(self) -> set[str]:
         names: set[str] = set()
@@ -126,55 +102,6 @@ class And(Antecedent):
 
     def __str__(self) -> str:
         return "(" + " AND ".join(str(op) for op in self.operands) + ")"
-
-
-@dataclass(frozen=True)
-class Or(Antecedent):
-    """Disjunction of sub-antecedents, combined with the engine's s-norm."""
-
-    operands: tuple[Antecedent, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.operands) < 2:
-            raise ValueError("Or requires at least two operands")
-
-    def firing_strength(
-        self,
-        degrees: Mapping[str, Mapping[str, float]],
-        tnorm: TNorm,
-        snorm: SNorm,
-    ) -> float:
-        return snorm.reduce(op.firing_strength(degrees, tnorm, snorm) for op in self.operands)
-
-    def variables(self) -> set[str]:
-        names: set[str] = set()
-        for op in self.operands:
-            names |= op.variables()
-        return names
-
-    def __str__(self) -> str:
-        return "(" + " OR ".join(str(op) for op in self.operands) + ")"
-
-
-@dataclass(frozen=True)
-class Not(Antecedent):
-    """Standard-complement negation of a sub-antecedent."""
-
-    operand: Antecedent
-
-    def firing_strength(
-        self,
-        degrees: Mapping[str, Mapping[str, float]],
-        tnorm: TNorm,
-        snorm: SNorm,
-    ) -> float:
-        return 1.0 - self.operand.firing_strength(degrees, tnorm, snorm)
-
-    def variables(self) -> set[str]:
-        return self.operand.variables()
-
-    def __str__(self) -> str:
-        return f"(NOT {self.operand})"
 
 
 @dataclass(frozen=True)
@@ -208,14 +135,9 @@ class FuzzyRule:
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"rule weight must lie in [0, 1], got {self.weight}")
 
-    def firing_strength(
-        self,
-        degrees: Mapping[str, Mapping[str, float]],
-        tnorm: TNorm = MINIMUM,
-        snorm: SNorm = MAXIMUM,
-    ) -> float:
+    def firing_strength(self, degrees: Mapping[str, Mapping[str, float]]) -> float:
         """Weighted firing strength of the rule for fuzzified inputs."""
-        return self.weight * self.antecedent.firing_strength(degrees, tnorm, snorm)
+        return self.weight * self.antecedent.firing_strength(degrees)
 
     def input_variables(self) -> set[str]:
         return self.antecedent.variables()
@@ -317,19 +239,15 @@ class RuleBase:
 
     # ------------------------------------------------------------------
     def completeness_gaps(self) -> list[dict[str, str]]:
-        """Return input-term combinations not covered by any conjunctive rule.
+        """Return input-term combinations not covered by any rule.
 
-        Only applicable to rule bases whose rules are pure conjunctions of one
-        proposition per input variable (as FRB1 and FRB2 are); rules with OR /
-        NOT / hedges are skipped.  A complete grid rule base returns ``[]``.
+        Only rules with one proposition per input variable (as every FRB1
+        and FRB2 rule has) cover a combination.  A complete grid rule base
+        returns ``[]``.
         """
         covered: set[tuple[tuple[str, str], ...]] = set()
         for rule in self._rules:
             props = _propositions(rule.antecedent)
-            if any(p.hedge is not None for p in props):
-                continue
-            if not _is_pure_conjunction(rule.antecedent):
-                continue
             key = tuple(sorted((p.variable, p.term) for p in props))
             if len({var for var, _ in key}) == len(self._inputs):
                 covered.add(key)
@@ -358,19 +276,9 @@ def _propositions(node: Antecedent) -> list[Proposition]:
     """Flatten an antecedent tree into its atomic propositions."""
     if isinstance(node, Proposition):
         return [node]
-    if isinstance(node, Not):
-        return _propositions(node.operand)
-    if isinstance(node, (And, Or)):
+    if isinstance(node, And):
         props: list[Proposition] = []
         for op in node.operands:
             props.extend(_propositions(op))
         return props
     raise TypeError(f"unknown antecedent node type: {type(node)!r}")
-
-
-def _is_pure_conjunction(node: Antecedent) -> bool:
-    if isinstance(node, Proposition):
-        return True
-    if isinstance(node, And):
-        return all(_is_pure_conjunction(op) for op in node.operands)
-    return False

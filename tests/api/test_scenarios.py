@@ -32,7 +32,7 @@ request_count_tuples = st.lists(
 controller_subsets = st.lists(
     st.sampled_from(CONTROLLER_NAMES), min_size=1, max_size=5, unique=True
 ).map(tuple)
-engines = st.sampled_from(["compiled", "reference", "auto"])
+engines = st.sampled_from(["compiled", "reference"])
 
 
 @st.composite
@@ -204,6 +204,13 @@ class TestValidation:
     def test_bad_engine_rejected(self):
         with pytest.raises(ScenarioError, match="unknown engine"):
             FigureSweepScenario(figure="fig7-speed", engine="warp")
+
+    def test_retired_auto_engine_rejected(self):
+        payload = {"kind": "figure-sweep", "figure": "fig7-speed", "engine": "auto"}
+        with pytest.raises(
+            ScenarioError, match=r"unknown engine 'auto'; available: \['compiled', 'reference'\]"
+        ):
+            Scenario.from_dict(payload)
 
     def test_bad_executor_rejected(self):
         with pytest.raises(ScenarioError, match="unknown executor"):

@@ -1,14 +1,11 @@
-"""Tests for user state, mobility models and the handoff manager."""
+"""Tests for user state and mobility models."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cac.complete_sharing import CompleteSharingController
-from repro.cellular.calls import Call, CallState
 from repro.cellular.geometry import Point
-from repro.cellular.handoff import HandoffManager
 from repro.cellular.mobility import (
     ConstantVelocityModel,
     GaussMarkovModel,
@@ -21,8 +18,6 @@ from repro.cellular.mobility import (
     UserProfile,
     UserState,
 )
-from repro.cellular.network import CellularNetwork
-from repro.cellular.traffic import ServiceClass
 from repro.des.rng import RandomStream
 
 
@@ -170,73 +165,3 @@ class TestMobilityModels:
         terminal.advance(hours * 3600.0)
         travelled = terminal.position.distance_to(Point(0.0, 0.0))
         assert travelled == pytest.approx(speed * hours, rel=1e-9)
-
-
-class TestHandoffManager:
-    def setup_method(self):
-        self.network = CellularNetwork(rings=1, cell_radius_km=2.0)
-        self.controller = CompleteSharingController()
-        self.manager = HandoffManager(self.network, self.controller)
-
-    def admitted_call(self, cell) -> Call:
-        call = Call(service=ServiceClass.VOICE, bandwidth_units=5, holding_time_s=300.0)
-        cell.base_station.allocate(call)
-        call.admit(0.0, cell.cell_id)
-        return call
-
-    def test_no_handoff_needed_inside_cell(self):
-        cell = self.network.center_cell
-        call = self.admitted_call(cell)
-        terminal = MobileTerminal(cell.center, 30.0, 0.0)
-        assert self.manager.needs_handoff(call, terminal) is None
-
-    def test_handoff_detected_in_neighbor_cell(self):
-        cell = self.network.center_cell
-        call = self.admitted_call(cell)
-        neighbor = self.network.neighbors(cell.cell_id)[0]
-        terminal = MobileTerminal(neighbor.center, 30.0, 0.0)
-        target = self.manager.needs_handoff(call, terminal)
-        assert target is neighbor
-
-    def test_out_of_coverage_returns_none(self):
-        cell = self.network.center_cell
-        call = self.admitted_call(cell)
-        terminal = MobileTerminal(Point(500.0, 500.0), 30.0, 0.0)
-        assert self.manager.needs_handoff(call, terminal) is None
-
-    def test_needs_handoff_requires_serving_cell(self):
-        call = Call(service=ServiceClass.VOICE, bandwidth_units=5)
-        terminal = MobileTerminal(Point(0.0, 0.0), 10.0, 0.0)
-        with pytest.raises(ValueError):
-            self.manager.needs_handoff(call, terminal)
-
-    def test_successful_handoff_moves_bandwidth(self):
-        source = self.network.center_cell
-        target = self.network.neighbors(source.cell_id)[0]
-        call = self.admitted_call(source)
-        terminal = MobileTerminal(target.center, 30.0, 0.0)
-        outcome = self.manager.attempt_handoff(call, terminal, target, now=10.0)
-        assert outcome.accepted
-        assert source.base_station.used_bu == 0
-        assert target.base_station.used_bu == 5
-        assert call.serving_cell_id == target.cell_id
-        assert call.handoff_count == 1
-        assert self.manager.handoff_acceptance_ratio() == 1.0
-
-    def test_failed_handoff_drops_call(self):
-        source = self.network.center_cell
-        target = self.network.neighbors(source.cell_id)[0]
-        # Fill the target cell so the handoff cannot fit.
-        filler = Call(service=ServiceClass.VIDEO, bandwidth_units=40)
-        target.base_station.allocate(filler)
-        call = self.admitted_call(source)
-        terminal = MobileTerminal(target.center, 30.0, 0.0)
-        outcome = self.manager.attempt_handoff(call, terminal, target, now=10.0)
-        assert not outcome.accepted
-        assert call.state is CallState.DROPPED
-        assert source.base_station.used_bu == 0
-        assert self.manager.handoff_acceptance_ratio() == 0.0
-
-    def test_outcomes_accumulate(self):
-        assert self.manager.outcomes == []
-        assert self.manager.handoff_acceptance_ratio() == 1.0

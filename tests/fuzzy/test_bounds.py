@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.cac.facs import FLC1, FLC2
 from repro.fuzzy.bounds import CentroidBoundTables
 from repro.fuzzy.compiled import CompiledMamdaniEngine
-from repro.fuzzy.inference import ImplicationMethod
+from repro.fuzzy.defuzzification import Bisector
 
 COMMON = settings(max_examples=60, deadline=None)
 
@@ -143,10 +143,8 @@ class TestCentroidBounds:
         )
         assert not valid.any()
 
-    def test_scale_implication_is_unsupported(self, var):
+    def test_non_centroid_defuzzifier_is_unsupported(self, var):
         engine = ENGINES[var]
-        scaled = CompiledMamdaniEngine(
-            engine._rule_base, implication=ImplicationMethod.SCALE
-        )
-        assert CentroidBoundTables.for_engine(scaled, var) is None
+        bisector = CompiledMamdaniEngine(engine._rule_base, defuzzifier=Bisector())
+        assert CentroidBoundTables.for_engine(bisector, var) is None
         assert TABLES[var] is not None

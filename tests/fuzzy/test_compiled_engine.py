@@ -1,9 +1,8 @@
 """Equivalence regression tests: CompiledMamdaniEngine vs MamdaniEngine.
 
 The compiled engine is the default fast path for FLC1/FLC2, so these tests
-lock down the guarantee it is built on: for the paper's minimum/maximum
-operators it reproduces the reference engine bit for bit, and for every
-other registered operator family it agrees to well within 1e-9.
+lock down the guarantee it is built on: with the fixed min/max/clip
+operators it reproduces the reference engine bit for bit.
 """
 
 from __future__ import annotations
@@ -15,27 +14,16 @@ from repro.cac.facs.config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
 from repro.cac.facs.frb1 import frb1_rules
 from repro.cac.facs.frb2 import frb2_rules
 from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
-from repro.fuzzy.compiled import (
-    CompiledMamdaniEngine,
-    CrispInference,
-    RuleCompilationError,
-)
+from repro.fuzzy.compiled import CompiledMamdaniEngine, CrispInference
 from repro.fuzzy.controller import FuzzyController
 from repro.fuzzy.defuzzification import (
     Bisector,
     DefuzzificationError,
     MeanOfMaximum,
 )
-from repro.fuzzy.inference import ImplicationMethod, MamdaniEngine
+from repro.fuzzy.inference import MamdaniEngine
 from repro.fuzzy.membership import Triangular
-from repro.fuzzy.operators import (
-    BOUNDED_SUM,
-    LUKASIEWICZ_AND,
-    MAXIMUM,
-    MINIMUM,
-    PROBABILISTIC_SUM,
-    PRODUCT,
-)
+from repro.fuzzy.parser import RuleSyntaxError
 from repro.fuzzy.rules import RuleBase
 from repro.fuzzy.variables import LinguisticVariable, Term
 
@@ -175,38 +163,7 @@ class TestPaperOperatingPoints:
 
 
 class TestOperatorFamilies:
-    """Non-default operator families agree to 1e-9 (reassociation only)."""
-
-    @pytest.mark.parametrize(
-        "tnorm,snorm,implication",
-        [
-            (PRODUCT, MAXIMUM, ImplicationMethod.CLIP),
-            (PRODUCT, PROBABILISTIC_SUM, ImplicationMethod.SCALE),
-            (MINIMUM, BOUNDED_SUM, ImplicationMethod.CLIP),
-            (LUKASIEWICZ_AND, MAXIMUM, ImplicationMethod.SCALE),
-        ],
-    )
-    def test_flc2_operator_families(self, rb2, tnorm, snorm, implication):
-        reference = MamdaniEngine(rb2, tnorm=tnorm, snorm=snorm, implication=implication)
-        compiled = CompiledMamdaniEngine(rb2, tnorm=tnorm, snorm=snorm, implication=implication)
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            inputs = {
-                "Cv": float(rng.uniform(0, 1)),
-                "R": float(rng.uniform(0, 10)),
-                "Cs": float(rng.uniform(0, 40)),
-            }
-            try:
-                expected = reference.infer(inputs)["AR"]
-            except DefuzzificationError:
-                # Strict conjunctions (e.g. Lukasiewicz) may fire no rule at
-                # all; the fast path must agree on the failure too.
-                with pytest.raises(DefuzzificationError):
-                    compiled.infer_crisp(inputs)
-                continue
-            assert compiled.infer_crisp(inputs)["AR"] == pytest.approx(
-                expected, abs=1e-9
-            )
+    """Non-centroid defuzzifiers agree exactly between the engines."""
 
     @pytest.mark.parametrize("defuzzifier", [Bisector(), MeanOfMaximum()])
     def test_alternative_defuzzifiers(self, rb2, defuzzifier):
@@ -253,27 +210,15 @@ class TestCompilability:
         )
         y = LinguisticVariable("y", (0.0, 1.0), [Term("out", Triangular(0, 0.5, 1))])
         rules = "IF x is lo OR x is hi THEN y is out"
-        with pytest.raises(RuleCompilationError):
+        with pytest.raises(RuleSyntaxError, match="'OR' at position 11"):
             FuzzyController("t", [x], [y], rules, engine="compiled")
 
     def test_hedged_rules_are_rejected(self):
         x = LinguisticVariable("x", (0.0, 1.0), [Term("lo", Triangular(0, 0, 1))])
         y = LinguisticVariable("y", (0.0, 1.0), [Term("out", Triangular(0, 0.5, 1))])
         rules = "IF x is very lo THEN y is out"
-        with pytest.raises(RuleCompilationError):
+        with pytest.raises(RuleSyntaxError, match="found 'lo' at position 13"):
             FuzzyController("t", [x], [y], rules, engine="compiled")
-
-    def test_auto_falls_back_to_reference(self):
-        x = LinguisticVariable(
-            "x",
-            (0.0, 1.0),
-            [Term("lo", Triangular(0, 0, 1)), Term("hi", Triangular(0, 1, 1))],
-        )
-        y = LinguisticVariable("y", (0.0, 1.0), [Term("out", Triangular(0, 0.5, 1))])
-        rules = "IF x is lo OR x is hi THEN y is out"
-        controller = FuzzyController("t", [x], [y], rules, engine="auto")
-        assert controller.engine_kind == "reference"
-        assert 0.0 <= controller.compute(x=0.5) <= 1.0
 
     def test_auto_compiles_conjunctive_rules(self, rb1):
         engine = CompiledMamdaniEngine(rb1)

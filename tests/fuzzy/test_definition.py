@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,9 +28,20 @@ from repro.fuzzy.definition import (
     definition_from_controller,
     definition_from_rule_base,
 )
-from repro.fuzzy.membership import Gaussian
+from repro.fuzzy.membership import MembershipFunction
 from repro.fuzzy.rules import Consequent, FuzzyRule, Proposition, RuleBase
 from repro.fuzzy.variables import LinguisticVariable, Term
+
+
+class _Step(MembershipFunction):
+    """A membership shape with no serializable definition."""
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return (np.asarray(x) >= 0.5).astype(float)
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (0.5, 1.0)
 
 
 def tiny_definition() -> FLCDefinition:
@@ -158,6 +170,16 @@ class TestFLCDefinition:
                 defuzzifier="median-of-maxima",
             )
 
+    def test_retired_defuzzifier_names_are_rejected(self):
+        payload = tiny_definition().to_dict()
+        for retired in ("som", "lom", "weighted_average"):
+            payload["defuzzifier"] = retired
+            with pytest.raises(DefinitionError) as excinfo:
+                FLCDefinition.from_dict(payload)
+            message = str(excinfo.value)
+            assert f"unknown defuzzifier {retired!r}" in message
+            assert message.endswith("available: bisector, centroid, mom")
+
     def test_with_variable_replaces_and_revalidates(self):
         base = tiny_definition()
         replacement = VariableDef(
@@ -230,9 +252,7 @@ class TestExtraction:
             assert definition_from_controller(controller) == definition
 
     def test_unsupported_membership_kind_is_rejected(self):
-        variable = LinguisticVariable(
-            "x", (0.0, 1.0), [Term("g", Gaussian(0.5, 0.1))]
-        )
+        variable = LinguisticVariable("x", (0.0, 1.0), [Term("g", _Step())])
         out = tiny_definition().outputs[0].build()
         rule = FuzzyRule(
             antecedent=Proposition("x", "g"),

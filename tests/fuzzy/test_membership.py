@@ -7,17 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fuzzy.membership import (
-    ConstantMF,
-    Gaussian,
-    GeneralizedBell,
-    PiShape,
-    PiecewiseLinear,
-    Sigmoid,
-    Singleton,
-    SShape,
     Trapezoidal,
     Triangular,
-    ZShape,
     paper_trapezoidal,
     paper_triangular,
 )
@@ -66,10 +57,6 @@ class TestTriangular:
 
     def test_support(self):
         assert Triangular(1.0, 2.0, 3.0).support == (1.0, 3.0)
-
-    def test_centroid_of_symmetric_triangle_is_peak(self):
-        mf = Triangular(0.0, 5.0, 10.0)
-        assert mf.centroid() == pytest.approx(5.0, abs=0.02)
 
     @given(
         a=st.floats(-100, 100),
@@ -165,110 +152,8 @@ class TestPaperNotation:
             paper_trapezoidal(5.0, 1.0, 1.0, 1.0)
 
 
-class TestOtherShapes:
-    def test_gaussian_peak_and_symmetry(self):
-        mf = Gaussian(3.0, 1.5)
-        assert mf(3.0) == pytest.approx(1.0)
-        assert mf(1.0) == pytest.approx(mf(5.0))
-
-    def test_gaussian_requires_positive_sigma(self):
-        with pytest.raises(ValueError):
-            Gaussian(0.0, 0.0)
-
-    def test_bell_peak(self):
-        mf = GeneralizedBell(2.0, 3.0, 5.0)
-        assert mf(5.0) == pytest.approx(1.0)
-        assert mf(7.0) == pytest.approx(0.5)
-
-    def test_bell_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            GeneralizedBell(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            GeneralizedBell(1.0, -1.0, 0.0)
-
-    def test_sigmoid_inflection_is_half(self):
-        mf = Sigmoid(2.0, 3.0)
-        assert mf(2.0) == pytest.approx(0.5)
-        assert mf(10.0) > 0.99
-
-    def test_zshape_and_sshape_are_complements_at_edges(self):
-        z = ZShape(0.0, 10.0)
-        s = SShape(0.0, 10.0)
-        assert z(0.0) == pytest.approx(1.0)
-        assert z(10.0) == pytest.approx(0.0)
-        assert s(0.0) == pytest.approx(0.0)
-        assert s(10.0) == pytest.approx(1.0)
-
-    def test_zshape_requires_ordered_bounds(self):
-        with pytest.raises(ValueError):
-            ZShape(5.0, 5.0)
-        with pytest.raises(ValueError):
-            SShape(7.0, 5.0)
-
-    def test_pishape_plateau(self):
-        mf = PiShape(0.0, 2.0, 8.0, 10.0)
-        assert mf(5.0) == pytest.approx(1.0)
-        assert mf(0.0) == pytest.approx(0.0)
-        assert mf(10.0) == pytest.approx(0.0)
-
-    def test_pishape_invalid_order(self):
-        with pytest.raises(ValueError):
-            PiShape(0.0, 0.0, 8.0, 10.0)
-
-    def test_singleton(self):
-        mf = Singleton(4.2)
-        assert mf(4.2) == 1.0
-        assert mf(4.3) == 0.0
-        assert mf.support == (4.2, 4.2)
-
-    def test_piecewise_linear_interpolation(self):
-        mf = PiecewiseLinear([(0.0, 0.0), (5.0, 1.0), (10.0, 0.0)])
-        assert mf(2.5) == pytest.approx(0.5)
-        assert mf(5.0) == pytest.approx(1.0)
-        assert mf(12.0) == 0.0
-
-    def test_piecewise_linear_validation(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinear([(0.0, 0.0)])
-        with pytest.raises(ValueError):
-            PiecewiseLinear([(0.0, 0.0), (0.0, 1.0)])
-        with pytest.raises(ValueError):
-            PiecewiseLinear([(0.0, 0.0), (1.0, 1.5)])
-
-    def test_piecewise_linear_equality_and_points(self):
-        a = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0)])
-        b = PiecewiseLinear([(1.0, 1.0), (0.0, 0.0)])
-        assert a == b
-        assert a.points == [(0.0, 0.0), (1.0, 1.0)]
-
-    def test_constant_mf(self):
-        mf = ConstantMF(0.4, 0.0, 10.0)
-        assert mf(5.0) == pytest.approx(0.4)
-        assert mf(11.0) == 0.0
-
-    def test_constant_mf_validation(self):
-        with pytest.raises(ValueError):
-            ConstantMF(1.5, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            ConstantMF(0.5, 2.0, 1.0)
-
-    @given(x=st.floats(-50, 50), mean=st.floats(-10, 10), sigma=st.floats(0.1, 10))
-    @settings(max_examples=100)
-    def test_gaussian_in_unit_interval(self, x, mean, sigma):
-        assert 0.0 <= Gaussian(mean, sigma)(x) <= 1.0
-
-
 class TestGenericHelpers:
     def test_sample_matches_call(self):
         mf = Triangular(0.0, 1.0, 2.0)
         xs = np.linspace(0.0, 2.0, 9)
         np.testing.assert_allclose(mf.sample(xs), mf(xs))
-
-    def test_height_of_scaled_mf(self):
-        mf = ConstantMF(0.7, 0.0, 1.0)
-        assert mf.height() == pytest.approx(0.7)
-        assert not mf.is_normal()
-
-    def test_centroid_degenerate_support(self):
-        mf = Singleton(3.0)
-        assert mf.centroid() == pytest.approx(3.0)

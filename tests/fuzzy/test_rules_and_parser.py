@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fuzzy.hedges import VERY, hedge_by_name, register_hedge, Hedge
 from repro.fuzzy.membership import Triangular
-from repro.fuzzy.operators import MAXIMUM, MINIMUM, PRODUCT
 from repro.fuzzy.parser import RuleSyntaxError, parse_rule, parse_rules
 from repro.fuzzy.rules import (
     And,
     Consequent,
     FuzzyRule,
-    Not,
-    Or,
     Proposition,
     RuleBase,
 )
@@ -40,50 +36,32 @@ def degrees():
 
 class TestPropositions:
     def test_atomic_firing_strength(self, degrees):
-        assert Proposition("temp", "hot").firing_strength(degrees, MINIMUM, MAXIMUM) == 0.7
-
-    def test_hedged_proposition(self, degrees):
-        prop = Proposition("temp", "hot", hedge=VERY)
-        assert prop.firing_strength(degrees, MINIMUM, MAXIMUM) == pytest.approx(0.49)
+        assert Proposition("temp", "hot").firing_strength(degrees) == 0.7
 
     def test_missing_variable_raises(self, degrees):
         with pytest.raises(KeyError):
-            Proposition("humidity", "x").firing_strength(degrees, MINIMUM, MAXIMUM)
+            Proposition("humidity", "x").firing_strength(degrees)
 
     def test_missing_term_raises(self, degrees):
         with pytest.raises(KeyError):
-            Proposition("temp", "warm").firing_strength(degrees, MINIMUM, MAXIMUM)
+            Proposition("temp", "warm").firing_strength(degrees)
 
     def test_and_uses_tnorm(self, degrees):
         expr = And((Proposition("temp", "hot"), Proposition("load", "low")))
-        assert expr.firing_strength(degrees, MINIMUM, MAXIMUM) == pytest.approx(0.7)
-        assert expr.firing_strength(degrees, PRODUCT, MAXIMUM) == pytest.approx(0.63)
-
-    def test_or_uses_snorm(self, degrees):
-        expr = Or((Proposition("temp", "hot"), Proposition("load", "high")))
-        assert expr.firing_strength(degrees, MINIMUM, MAXIMUM) == pytest.approx(0.7)
-
-    def test_not_is_standard_complement(self, degrees):
-        expr = Not(Proposition("temp", "hot"))
-        assert expr.firing_strength(degrees, MINIMUM, MAXIMUM) == pytest.approx(0.3)
+        assert expr.firing_strength(degrees) == pytest.approx(0.7)
 
     def test_operator_sugar(self, degrees):
         expr = Proposition("temp", "hot") & Proposition("load", "low")
         assert isinstance(expr, And)
-        expr2 = Proposition("temp", "hot") | Proposition("load", "low")
-        assert isinstance(expr2, Or)
-        expr3 = ~Proposition("temp", "hot")
-        assert isinstance(expr3, Not)
+        assert expr.firing_strength(degrees) == pytest.approx(0.7)
 
     def test_variables_collection(self):
-        expr = And((Proposition("a", "x"), Or((Proposition("b", "y"), Proposition("a", "z")))))
+        expr = And((Proposition("a", "x"), And((Proposition("b", "y"), Proposition("a", "z")))))
         assert expr.variables() == {"a", "b"}
 
     def test_and_or_require_two_operands(self):
         with pytest.raises(ValueError):
             And((Proposition("a", "x"),))
-        with pytest.raises(ValueError):
-            Or((Proposition("a", "x"),))
 
 
 class TestFuzzyRule:
@@ -126,27 +104,6 @@ class TestParser:
         rule = parse_rule("IF a is x AND b is y AND c is z THEN out is big")
         assert isinstance(rule.antecedent, And)
         assert len(rule.antecedent.operands) == 3
-
-    def test_disjunction_and_precedence(self):
-        rule = parse_rule("IF a is x OR b is y AND c is z THEN out is big")
-        # AND binds tighter than OR.
-        assert isinstance(rule.antecedent, Or)
-        assert isinstance(rule.antecedent.operands[1], And)
-
-    def test_parentheses(self):
-        rule = parse_rule("IF (a is x OR b is y) AND c is z THEN out is big")
-        assert isinstance(rule.antecedent, And)
-        assert isinstance(rule.antecedent.operands[0], Or)
-
-    def test_negation(self):
-        rule = parse_rule("IF NOT a is x THEN out is big")
-        assert isinstance(rule.antecedent, Not)
-
-    def test_hedge(self):
-        rule = parse_rule("IF a is very x THEN out is big")
-        assert isinstance(rule.antecedent, Proposition)
-        assert rule.antecedent.hedge is not None
-        assert rule.antecedent.term == "x"
 
     def test_multiple_consequents(self):
         rule = parse_rule("IF a is x THEN out is big AND warn is on")
@@ -193,21 +150,24 @@ class TestParser:
         assert len(rules) == 1
 
 
-class TestHedges:
-    def test_lookup(self):
-        assert hedge_by_name("very") is VERY
-        with pytest.raises(KeyError):
-            hedge_by_name("super-duper")
+class TestRetiredGrammar:
+    """OR, NOT, parentheses and hedges are syntax errors, not silent rules."""
 
-    def test_register_custom_hedge(self):
-        custom = Hedge("quite-test-only", lambda mu: mu**1.5)
-        register_hedge(custom)
-        assert hedge_by_name("quite-test-only") is custom
-        with pytest.raises(ValueError):
-            register_hedge(custom)
-
-    def test_hedge_clamps_output(self):
-        assert 0.0 <= VERY(0.9) <= 1.0
+    @pytest.mark.parametrize(
+        "text, token, position",
+        [
+            ("IF a is x OR b is y THEN out is big", "'OR'", 10),
+            ("IF NOT a is x THEN out is big", "'NOT'", 3),
+            ("IF (a is x) THEN out is big", "'('", 3),
+            ("IF a is x AND (b is y) THEN out is big", "'('", 14),
+            ("IF a is very x THEN out is big", "'x'", 13),
+        ],
+    )
+    def test_error_names_the_token_and_its_position(self, text, token, position):
+        with pytest.raises(RuleSyntaxError) as excinfo:
+            parse_rule(text)
+        assert f"{token} at position {position}" in str(excinfo.value)
+        assert text[position] == token[1]
 
 
 class TestRuleBase:

@@ -72,6 +72,18 @@ class TestGoldenOutput:
         assert capsys.readouterr().out == expected
 
 
+class TestDefuzzAblationGolden:
+    """The ``defuzz`` ablation is the only shipped run through the bisector
+    and mean-of-maximum defuzzifiers; its report JSON is pinned byte for byte."""
+
+    def test_report_json_is_byte_identical(self):
+        scenario = Scenario.from_dict(
+            {"kind": "ablation", "ablation": "defuzz", "replications": 2}
+        )
+        expected = (GOLDEN_DIR / "ablation_defuzz_r2.json").read_text()
+        assert Runner().run(scenario).to_json() == expected
+
+
 class TestNewReportFlags:
     def test_format_json_emits_the_run_report(self, capsys):
         assert main(["run", "table1-frb1", "--format", "json"]) == 0
