@@ -15,7 +15,9 @@ it to that contract end to end:
   Cold — each path once in a fresh subprocess, imports and screen table
   construction included — the stream path must still beat the object
   path (it once lost to it by ~2x while its tables were built from dense
-  grid sums).
+  grid sums), both at the bench's size and at 20k requests.  The cold
+  ratio is recorded but not gated at 5x: at 200k requests on a shared
+  2-core host it measured 4.6-5.9x, too close to hold as a gate.
 * **Constant parent memory.**  The streaming-fold reduce
   (:class:`~repro.analysis.frame.StreamingFrameReducer` with a spill
   directory) must keep the parent's peak RSS flat as the replication
@@ -24,9 +26,10 @@ it to that contract end to end:
   ``VmHWM`` from ``/proc/self/status`` — no third-party profiler needed.
 
 Writes ``results/BENCH_trace.json`` (committed, and uploaded as a CI
-artifact), including the cold run's screen ``table_info()``.
+artifact), including the cold run's screen ``table_info()``: tables,
+cells, build seconds and how many rows took each exact fallback.
 ``REPRO_TRACE_SCALE_REQUESTS`` scales the trace down for CI smoke runs;
-the speedup, cold and RSS gates stay the same.
+the speedup, cold, break-even and RSS gates stay the same.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ SEED = 7
 BATCH_SIZE = 1024
 STREAM_ROUNDS = 2  # min-of-rounds; the object reference runs once (it is slow)
 MIN_SPEEDUP = 5.0
+#: Trace size at which a cold stream run must still beat a cold object run.
+BREAK_EVEN_REQUESTS = 20_000
 
 #: RSS gate: replications in the small/large streaming-fold subprocesses
 #: (8x more rows) and the maximum tolerated peak-RSS growth between them.
@@ -141,10 +146,10 @@ def _peak_rss_kb(rows: int, spill: bool) -> int:
     )
 
 
-def _cold_run(stream: bool) -> dict:
+def _cold_run(stream: bool, requests: int = REQUESTS) -> dict:
     """Wall clock (imports included) of one trace run in a fresh subprocess."""
     path = "stream" if stream else "object"
-    return json.loads(_child(_COLD_CHILD, REQUESTS, SEED, BATCH_SIZE, path))
+    return json.loads(_child(_COLD_CHILD, requests, SEED, BATCH_SIZE, path))
 
 
 def _timed(fn) -> float:
@@ -201,6 +206,9 @@ def test_trace_scale_gate(benchmark):
     cold_object = _cold_run(stream=False)
     cold_stream_seconds = cold_stream["seconds"]
     cold_object_seconds = cold_object["seconds"]
+    cold_speedup = cold_object_seconds / cold_stream_seconds
+    small_stream_seconds = _cold_run(True, BREAK_EVEN_REQUESTS)["seconds"]
+    small_object_seconds = _cold_run(False, BREAK_EVEN_REQUESTS)["seconds"]
 
     # ------------------------------------------------------------------
     # Constant parent memory in streaming-fold mode: 8x the replications
@@ -229,7 +237,13 @@ def test_trace_scale_gate(benchmark):
             "speedup": round(speedup, 2),
             "cold_object_path_seconds": round(cold_object_seconds, 4),
             "cold_stream_path_seconds": round(cold_stream_seconds, 4),
-            "cold_speedup": round(cold_object_seconds / cold_stream_seconds, 2),
+            "cold_speedup": round(cold_speedup, 2),
+        },
+        "cold_break_even": {
+            "request_count": BREAK_EVEN_REQUESTS,
+            "object_path_seconds": round(small_object_seconds, 4),
+            "stream_path_seconds": round(small_stream_seconds, 4),
+            "speedup": round(small_object_seconds / small_stream_seconds, 2),
         },
         "screen_tables": cold_stream["table_info"],
         "equivalence": {
@@ -259,7 +273,9 @@ def test_trace_scale_gate(benchmark):
     print(
         f"\ntrace scale ({REQUESTS} requests): object {object_seconds:.2f}s, "
         f"stream {stream_seconds:.2f}s, speedup {speedup:.2f}x; cold object "
-        f"{cold_object_seconds:.2f}s, cold stream {cold_stream_seconds:.2f}s; "
+        f"{cold_object_seconds:.2f}s, cold stream {cold_stream_seconds:.2f}s "
+        f"({cold_speedup:.2f}x; {BREAK_EVEN_REQUESTS} requests: object "
+        f"{small_object_seconds:.2f}s, stream {small_stream_seconds:.2f}s); "
         f"streaming-fold RSS x{rss_growth:.2f} over 8x rows "
         f"-> {RESULTS_PATH.name}"
     )
@@ -270,6 +286,11 @@ def test_trace_scale_gate(benchmark):
     assert cold_stream_seconds < cold_object_seconds, (
         f"cold stream path ({cold_stream_seconds:.2f}s) no faster than the cold "
         f"object path ({cold_object_seconds:.2f}s) in a fresh process"
+    )
+    assert small_stream_seconds < small_object_seconds, (
+        f"cold stream path ({small_stream_seconds:.2f}s) no faster than the cold "
+        f"object path ({small_object_seconds:.2f}s) at {BREAK_EVEN_REQUESTS} "
+        f"requests in a fresh process"
     )
     assert rss_growth <= MAX_RSS_GROWTH, (
         f"streaming-fold peak RSS grew {rss_growth:.2f}x over 8x rows "

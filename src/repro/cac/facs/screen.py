@@ -23,20 +23,29 @@ How a batch flows through the screen:
 3. **FLC2 cell lookup.**  FLC2's other two inputs are effectively discrete
    in the trace pipeline (bandwidth ∈ {1, 5, 10} BU, occupancy an integer),
    so for each ``(R, Cs)`` pair the screen lazily builds a one-dimensional
-   table over ``Cv`` cells: per cell, interval rule strengths (degree
-   endpoints are certified because triangular/trapezoidal memberships are
-   quasiconcave — including ``Triangular``'s ``np.isclose`` peak band,
-   which gets its own guard cells forced to an upper bound of 1), then
-   certified score bounds from the closed-form clipped integrals of
+   table over ``Cv`` cells.  The key's fixed R and Cs degrees fold into
+   one clip level per (consequent term, Cv term), so a cell's interval
+   term strengths are a min/max of its Cv degree intervals against those
+   levels (degree endpoints are certified because triangular/trapezoidal
+   memberships are quasiconcave — including ``Triangular``'s
+   ``np.isclose`` peak band, which gets its own guard cells forced to an
+   upper bound of 1).  Certified score bounds then come from the
+   closed-form clipped integrals of
    :meth:`CentroidBoundTables.score_interval_direct` (one binary search
    per cell and curve, no dense grid), collapsing to a per-cell verdict:
-   accept, reject, or ambiguous.  Ambiguous cells are split and re-bounded
-   adaptively, so the undecidable band shrinks to the region where the
-   score genuinely pins the threshold (e.g. the exact-zero plateaus of
-   symmetric surfaces); a midpoint probe — exact firing strengths plus the
-   closed-form centroid — marks such cells hopeless so no split budget is
-   spent on them.  Prefix sums answer "do all cells of an interval agree?"
-   in O(1).
+   accept, reject, or ambiguous.  Ambiguous cells are split into quarters
+   and re-bounded only while splitting can pay off.  A score interval
+   narrows linearly with its cell, and the closed-form score at the cell's
+   edges and midpoint shows how far the score strays from the threshold
+   there; a cell is split only if subcells :data:`_RESOLUTION_WIDTH` wide
+   would clear that distance.  Transversal crossings, where the score
+   moves through the threshold, keep being refined toward that width;
+   bands where the score stays pinned within bound resolution of the
+   threshold (the exact-zero plateaus of symmetric surfaces, or a score
+   within about 1e-6 of it across a whole Cv band) stop at once and leave
+   their rows to the exact fallback.  The split rule only steers
+   refinement; a verdict always comes from the certified bounds.  Prefix
+   sums answer "do all cells of an interval agree?" in O(1).
 4. **Exact fallback.**  Rows whose correction interval spans disagreeing
    cells finish FLC1 exactly — reusing the firing strengths from step 1,
    and bit-identical because batched engine rows are independent; rows
@@ -73,25 +82,21 @@ _ISCLOSE_RTOL = 1e-5
 _ISCLOSE_ATOL = 1e-8
 #: Number of uniform refinement points seeding the ``Cv`` cell edges.
 _CV_SEED_CELLS = 257
-#: Adaptive refinement of ambiguous cells: each round splits every still-
-#: ambiguous cell into four and re-bounds only the new subcells.  The
-#: budget caps total growth so regions where the score genuinely sits *on*
-#: the threshold (e.g. exact-zero plateaus of symmetric surfaces, which no
-#: split can ever decide) stay ambiguous at bounded resolution instead of
-#: splitting forever — rows landing there just take the exact fallback.
+#: Adaptive refinement of ambiguous cells: each round splits every ambiguous
+#: cell worth splitting into four and re-bounds only the new subcells.
 _REFINE_ROUNDS = 10
 _REFINE_BOUNDS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-_REFINE_BUDGET = 20_000
 _MIN_CELL_WIDTH = 1e-7
-#: An ambiguous cell whose midpoint score (closed form, ~1e-13 from the
-#: engine's) sits within this margin of the threshold is treated as
-#: hopeless and never split: certified
-#: bounds bottom out at the widening slack (~1e-9 relative), so such cells
-#: — e.g. the exact-zero plateaus of symmetric rule surfaces, where the
-#: float score is a ±1e-17 summation residue — can never be decided by
-#: refinement, only by the runtime exact fallback.  The midpoint score
-#: merely *prioritises* refinement effort; correctness never depends on it.
-_HOPELESS_MARGIN = 1e-7
+#: The narrowest Cv subcell worth building to decide a cell.  A cell whose
+#: score stays closer to the threshold than the bounds resolve at this width
+#: (half-width = bound slope x width / 2) is left ambiguous: deciding it
+#: would take more than ``cell width / _RESOLUTION_WIDTH`` subcells, while
+#: its rows cost one exact FLC2 evaluation each.  On the paper's controllers
+#: this keeps every table under 3,600 cells and the exact FLC2 share of a
+#: 200k-request trace at 4%.
+_RESOLUTION_WIDTH = 1e-5
+#: Backstop on one table's size; the rule above keeps tables well inside it.
+_MAX_TABLE_CELLS = 20_000
 
 
 def _peak_interval(membership: object) -> tuple[float, float, list[float]]:
@@ -118,6 +123,15 @@ class TableInfo:
     ambiguous_cells: int
     #: Bound tables at construction plus every cell table built so far.
     build_seconds: float
+    #: Rows decided by :meth:`DecisionScreen.decide` (batches it defers to
+    #: the exact path are not counted).
+    rows_screened: int
+    #: Rows the bounds left undecided (the correction interval spanned
+    #: disagreeing cells, or was not certified), so FLC1 ran exactly.
+    rows_exact_flc1: int
+    #: Of those, rows whose exact correction fell in an ambiguous cell, so
+    #: FLC2 ran exactly too.
+    rows_exact_flc2: int
 
 
 class DecisionScreen:
@@ -154,7 +168,7 @@ class DecisionScreen:
         plan_by_name = {entry[0]: entry for entry in eng2._batch_fuzzify_plan}
         if set(plan_by_name) != {"Cv", "R", "Cs"}:
             raise ValueError("FLC2 does not have the Cv/R/Cs input signature")
-        _, cv_low, cv_high, _, cv_memberships = plan_by_name["Cv"]
+        _, cv_low, cv_high, cv_offset, cv_memberships = plan_by_name["Cv"]
         self._cv_low = cv_low
         self._cv_high = cv_high
         self._cv_memberships = cv_memberships
@@ -172,13 +186,27 @@ class DecisionScreen:
             np.clip(np.asarray(edges, dtype=float), cv_low, cv_high)
         )
 
+        # Which Cv membership each FLC2 rule tests (-1: none), so a cell
+        # table can fold the key's fixed R/Cs degrees into per-term levels.
+        index = eng2._antecedent_index
+        on_cv = (index >= cv_offset) & (index < cv_offset + len(cv_memberships))
+        if (on_cv.sum(axis=1) > 1).any():
+            raise ValueError("an FLC2 rule tests Cv more than once")
+        self._rule_cv = np.full(index.shape[0], -1, dtype=np.intp)
+        rules, columns = np.nonzero(on_cv)
+        self._rule_cv[rules] = index[rules, columns] - cv_offset
+
         #: (bandwidth, occupancy) -> (edges, cell decisions, prefix sums).
         self._cells: dict[
             tuple[float, float],
             tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         ] = {}
+        self._build_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._build_seconds = time.perf_counter() - started
+        self._rows_screened = 0
+        self._rows_exact_flc1 = 0
+        self._rows_exact_flc2 = 0
 
     # ------------------------------------------------------------------
     @classmethod
@@ -221,24 +249,75 @@ class DecisionScreen:
         key = (float(bandwidth), float(occupancy))
         cached = self._cells.get(key)
         if cached is None:
-            started = time.perf_counter()
-            cached = self._build_cell_table(*key)
-            with self._stats_lock:
-                self._cells[key] = cached
-                self._build_seconds += time.perf_counter() - started
+            # Checked again under the lock: threads deciding the same key
+            # build its table once and share it.
+            with self._build_lock:
+                cached = self._cells.get(key)
+                if cached is None:
+                    started = time.perf_counter()
+                    cached = self._build_cell_table(*key)
+                    with self._stats_lock:
+                        self._cells[key] = cached
+                        self._build_seconds += time.perf_counter() - started
         return cached
 
     def table_info(self) -> TableInfo:
-        """Cell tables built so far, their cells, and the time spent building."""
+        """Cell tables built so far, their cells, build time and row routing."""
         with self._stats_lock:
             decisions = [table[1] for table in self._cells.values()]
-            seconds = self._build_seconds
-        return TableInfo(
-            tables=len(decisions),
-            cells=sum(d.size for d in decisions),
-            ambiguous_cells=sum(int((d == -1).sum()) for d in decisions),
-            build_seconds=seconds,
-        )
+            return TableInfo(
+                tables=len(decisions),
+                cells=sum(d.size for d in decisions),
+                ambiguous_cells=sum(int((d == -1).sum()) for d in decisions),
+                build_seconds=self._build_seconds,
+                rows_screened=self._rows_screened,
+                rows_exact_flc1=self._rows_exact_flc1,
+                rows_exact_flc2=self._rows_exact_flc2,
+            )
+
+    def _key_levels(
+        self, bandwidth: float, occupancy: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """FLC2's fixed R/Cs degrees for one key, folded into term levels.
+
+        Returns ``(levels, floor)``: ``levels[t, j]`` is the largest
+        ``min(R degree, Cs degree)`` over the rules concluding in term ``t``
+        that test Cv membership ``j`` (0 when there is none), and
+        ``floor[t]`` the same over ``t``'s rules without a Cv term.  Min and
+        max are exact selections, so ``max(floor, max_j min(cv_j,
+        levels[:, j]))`` equals the engine's per-term maximum of rule minima
+        bit for bit.
+        """
+        eng = self._eng2
+        # Cv slots stay at 1.0, the neutral element of the min fold.
+        degrees = np.ones(eng._n_degree_slots)
+        scalars = {"R": bandwidth, "Cs": occupancy}
+        for name, low, high, offset, memberships in eng._batch_fuzzify_plan:
+            if name == "Cv":
+                continue
+            # Exactly the engine's batched fuzzification of this scalar.
+            value = np.clip(np.array([scalars[name]]), low, high)
+            for j, membership in enumerate(memberships):
+                degrees[offset + j] = np.clip(membership.evaluate(value), 0.0, 1.0)[0]
+        constant = degrees[eng._antecedent_index].min(axis=1)
+        levels = np.zeros((len(self._term_columns2), len(self._cv_memberships)))
+        floor = np.zeros(len(self._term_columns2))
+        for t, rules in enumerate(self._term_columns2):
+            for rule in rules:
+                j = self._rule_cv[rule]
+                if j < 0:
+                    floor[t] = max(floor[t], constant[rule])
+                else:
+                    levels[t, j] = max(levels[t, j], constant[rule])
+        return levels, floor
+
+    @staticmethod
+    def _term_strengths(
+        cv_degrees: np.ndarray, levels: np.ndarray, floor: np.ndarray
+    ) -> np.ndarray:
+        """``(n, terms)`` FLC2 term strengths from ``(cv terms, n)`` degrees."""
+        clipped = np.minimum(cv_degrees.T[:, None, :], levels)
+        return np.maximum(clipped.max(axis=2), floor)
 
     def _build_cell_table(
         self, bandwidth: float, occupancy: float
@@ -250,26 +329,14 @@ class DecisionScreen:
         and the prefix sums count decided cells for O(1) range-agreement
         queries.
         """
+        levels, floor = self._key_levels(bandwidth, occupancy)
         cell_lo = self._seed_edges[:-1]
         cell_hi = self._seed_edges[1:]
-        decision = self._decide_cells(cell_lo, cell_hi, bandwidth, occupancy)
-        hopeless = self._hopeless(cell_lo, cell_hi, decision, bandwidth, occupancy)
-        budget = _REFINE_BUDGET
+        decision, split = self._decide_cells(cell_lo, cell_hi, levels, floor)
         for _ in range(_REFINE_ROUNDS):
-            chosen = np.flatnonzero(
-                (decision == -1)
-                & ~hopeless
-                & (cell_hi - cell_lo > _MIN_CELL_WIDTH)
-            )
-            if not chosen.size or budget < 4:
+            chosen = np.flatnonzero(split & (cell_hi - cell_lo > _MIN_CELL_WIDTH))
+            if not chosen.size or cell_lo.size + 3 * chosen.size > _MAX_TABLE_CELLS:
                 break
-            if 4 * chosen.size > budget:
-                # Spend the remaining budget on the widest cells: they are
-                # the ones the per-request correction intervals land in most.
-                widest = np.argsort(cell_hi[chosen] - cell_lo[chosen])
-                chosen = np.sort(chosen[widest[-(budget // 4) :]])
-            budget -= 4 * chosen.size
-
             # Split each chosen cell into quarters and bound only the new
             # subcells; all other cells keep their verdicts untouched.
             bounds = (
@@ -280,111 +347,53 @@ class DecisionScreen:
             bounds[:, -1] = cell_hi[chosen]
             sub_lo = bounds[:, :4].ravel()
             sub_hi = bounds[:, 1:].ravel()
-            sub_decision = self._decide_cells(sub_lo, sub_hi, bandwidth, occupancy)
-            sub_hopeless = self._hopeless(
-                sub_lo, sub_hi, sub_decision, bandwidth, occupancy
-            )
+            sub_decision, sub_split = self._decide_cells(sub_lo, sub_hi, levels, floor)
 
-            split = np.zeros(cell_lo.size, dtype=bool)
-            split[chosen] = True
-            starts = np.concatenate(([0], np.cumsum(np.where(split, 4, 1))[:-1]))
+            # Each chosen cell's slot is taken by its four subcells.
+            keep = np.ones(cell_lo.size, dtype=bool)
+            keep[chosen] = False
+            width = np.where(keep, 1, 4)
+            slot = np.cumsum(width) - width
             total = cell_lo.size + 3 * chosen.size
             new_lo = np.empty(total)
             new_hi = np.empty(total)
             new_decision = np.empty(total, dtype=np.int8)
-            new_hopeless = np.empty(total, dtype=bool)
-            kept = starts[~split]
-            new_lo[kept] = cell_lo[~split]
-            new_hi[kept] = cell_hi[~split]
-            new_decision[kept] = decision[~split]
-            new_hopeless[kept] = hopeless[~split]
-            slots = (starts[chosen][:, None] + np.arange(4)).ravel()
+            new_split = np.empty(total, dtype=bool)
+            kept = slot[keep]
+            new_lo[kept] = cell_lo[keep]
+            new_hi[kept] = cell_hi[keep]
+            new_decision[kept] = decision[keep]
+            new_split[kept] = split[keep]
+            slots = (slot[chosen][:, None] + np.arange(4)).ravel()
             new_lo[slots] = sub_lo
             new_hi[slots] = sub_hi
             new_decision[slots] = sub_decision
-            new_hopeless[slots] = sub_hopeless
+            new_split[slots] = sub_split
             cell_lo, cell_hi = new_lo, new_hi
-            decision, hopeless = new_decision, new_hopeless
+            decision, split = new_decision, new_split
         edges = np.append(cell_lo, cell_hi[-1])
         accept_prefix = np.concatenate(([0], np.cumsum(decision == 1)))
         reject_prefix = np.concatenate(([0], np.cumsum(decision == 0)))
         return edges, decision, accept_prefix, reject_prefix
 
-    def _hopeless(
-        self,
-        cell_lo: np.ndarray,
-        cell_hi: np.ndarray,
-        decision: np.ndarray,
-        bandwidth: float,
-        occupancy: float,
-    ) -> np.ndarray:
-        """Ambiguous cells whose midpoint score pins the threshold.
-
-        Exact FLC2 firing strengths at each ambiguous cell's midpoint, then
-        the closed-form centroid — a build-time probe that steers the split
-        budget away from undecidable plateaus and toward bands the bounds
-        *can* still resolve.  Midpoints where nothing fires are not hopeless.
-        """
-        hopeless = np.zeros(cell_lo.size, dtype=bool)
-        ambiguous = np.flatnonzero(decision == -1)
-        if ambiguous.size:
-            strengths = self._flc2_strengths(
-                0.5 * (cell_lo[ambiguous] + cell_hi[ambiguous]),
-                np.full(ambiguous.size, bandwidth),
-                np.full(ambiguous.size, occupancy),
-            )
-            scores, area = self._tables2.centroid(
-                self._eng2._term_strengths_batch(strengths, self._term_columns2)
-            )
-            hopeless[ambiguous] = (area > 0.0) & (
-                np.abs(np.clip(scores, -1.0, 1.0) - self._threshold) <= _HOPELESS_MARGIN
-            )
-        return hopeless
-
     def _decide_cells(
         self,
         cell_lo: np.ndarray,
         cell_hi: np.ndarray,
-        bandwidth: float,
-        occupancy: float,
-    ) -> np.ndarray:
-        """Per-cell verdicts for ``[cell_lo, cell_hi]`` Cv intervals."""
-        eng = self._eng2
-        n_cells = cell_lo.size
-        deg_lo = np.empty((n_cells, eng._n_degree_slots))
-        deg_hi = np.empty((n_cells, eng._n_degree_slots))
-        deg_lo[:, eng._identity_slot] = 1.0
-        deg_hi[:, eng._identity_slot] = 1.0
-        scalars = {"R": bandwidth, "Cs": occupancy}
-        for name, low, high, offset, memberships in eng._batch_fuzzify_plan:
-            if name == "Cv":
-                cv_lo, cv_hi = self._degree_intervals(cell_lo, cell_hi)
-                stop = offset + len(memberships)
-                deg_lo[:, offset:stop] = cv_lo.T
-                deg_hi[:, offset:stop] = cv_hi.T
-                continue
-            # Exactly the engine's batched fuzzification of this scalar.
-            value = np.clip(np.array([scalars[name]]), low, high)
-            for j, membership in enumerate(memberships):
-                degree = float(np.clip(membership.evaluate(value), 0.0, 1.0)[0])
-                deg_lo[:, offset + j] = degree
-                deg_hi[:, offset + j] = degree
+        levels: np.ndarray,
+        floor: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell verdicts for ``[cell_lo, cell_hi]`` Cv intervals.
 
-        # Interval rule strengths, folded column for column in the engine's
-        # order (min is an exact selection, so endpoint folds bound the
-        # engine's fold in float).
-        index = eng._antecedent_index
-        s_lo = deg_lo[:, index[:, 0]]
-        s_hi = deg_hi[:, index[:, 0]]
-        for column in range(1, eng._antecedent_width):
-            s_lo = np.minimum(s_lo, deg_lo[:, index[:, column]])
-            s_hi = np.minimum(s_hi, deg_hi[:, index[:, column]])
-
-        t_lo = np.empty((n_cells, len(self._term_columns2)))
-        t_hi = np.empty((n_cells, len(self._term_columns2)))
-        for t, columns in enumerate(self._term_columns2):
-            t_lo[:, t] = s_lo[:, columns].max(axis=1)
-            t_hi[:, t] = s_hi[:, columns].max(axis=1)
+        Returns ``(decision, split)``: ``split`` marks the ambiguous cells
+        worth refining (see :meth:`_worth_splitting`).
+        """
+        # Interval term strengths: the Cv degree intervals through the
+        # key's folded min/max (exact selections, so the endpoint folds
+        # bound the engine's fold in float).
+        cv_lo, cv_hi = self._degree_intervals(cell_lo, cell_hi)
+        t_lo = self._term_strengths(cv_lo, levels, floor)
+        t_hi = self._term_strengths(cv_hi, levels, floor)
 
         fired = (t_lo > 0.0).any(axis=1)
         # Direct endpoint evaluation: no knot-quantisation floor, so cells
@@ -397,11 +406,54 @@ class DecisionScreen:
         score_lo = np.clip(score_lo, -1.0, 1.0)
         score_hi = np.clip(score_hi, -1.0, 1.0)
 
-        decision = np.full(n_cells, -1, dtype=np.int8)
+        decision = np.full(cell_lo.size, -1, dtype=np.int8)
         certain = fired & valid
         decision[certain & (score_lo > self._threshold)] = 1
         decision[certain & (score_hi <= self._threshold)] = 0
-        return decision
+        split = decision == -1
+        ambiguous = np.flatnonzero(split & certain)
+        if ambiguous.size:
+            split[ambiguous] = self._worth_splitting(
+                cell_lo[ambiguous],
+                cell_hi[ambiguous],
+                score_hi[ambiguous] - score_lo[ambiguous],
+                levels,
+                floor,
+            )
+        return decision, split
+
+    def _worth_splitting(
+        self,
+        cell_lo: np.ndarray,
+        cell_hi: np.ndarray,
+        score_width: np.ndarray,
+        levels: np.ndarray,
+        floor: np.ndarray,
+    ) -> np.ndarray:
+        """Which ambiguous cells splitting can decide at affordable width.
+
+        The certified score interval narrows linearly with the cell:
+        ``score_width / cell width`` is the bound's slope.  The closed-form
+        score at the cell's edges and midpoint (a probe, not a bound) shows
+        how far the score strays from the threshold inside the cell.  A
+        subcell is decided once its half-width falls below that distance,
+        so a cell is split only if subcells of :data:`_RESOLUTION_WIDTH`
+        would get there.  A transversal crossing passes while its cells are
+        wide, because the score moves across them; a band where the score is
+        pinned near the threshold fails at once, and its rows take the exact
+        fallback instead of a split budget.
+        """
+        points = np.concatenate((cell_lo, 0.5 * (cell_lo + cell_hi), cell_hi))
+        degrees = np.empty((len(self._cv_memberships), points.size))
+        for j, membership in enumerate(self._cv_memberships):
+            degrees[j] = np.clip(membership.evaluate(points), 0.0, 1.0)
+        scores, area = self._tables2.centroid(self._term_strengths(degrees, levels, floor))
+        distance = np.where(
+            area > 0.0, np.abs(np.clip(scores, -1.0, 1.0) - self._threshold), 0.0
+        )
+        reach = distance.reshape(3, cell_lo.size).max(axis=0)
+        slope = score_width / (cell_hi - cell_lo)
+        return 2.0 * reach > slope * _RESOLUTION_WIDTH
 
     # ------------------------------------------------------------------
     def decide(
@@ -461,6 +513,7 @@ class DecisionScreen:
             undecided[mask] |= ~(all_accept | all_reject)
 
         fallback = np.flatnonzero(undecided)
+        exact_flc2 = 0
         if fallback.size:
             # Exact FLC1 on the undecided subset, completed from the firing
             # strengths already computed above: batched engine rows are
@@ -488,6 +541,7 @@ class DecisionScreen:
                 verdict[sub] = decision[cell]
             accepted[fallback] = verdict == 1
             ambiguous = fallback[verdict == -1]
+            exact_flc2 = ambiguous.size
             if ambiguous.size:
                 scores = self._exact_scores(
                     corrections[verdict == -1],
@@ -495,17 +549,11 @@ class DecisionScreen:
                     np.full(ambiguous.size, occupancy),
                 )
                 accepted[ambiguous] = scores > self._threshold
+        with self._stats_lock:
+            self._rows_screened += count
+            self._rows_exact_flc1 += fallback.size
+            self._rows_exact_flc2 += exact_flc2
         return accepted
-
-    def _flc2_strengths(
-        self, corrections: np.ndarray, request_bus: np.ndarray, counters: np.ndarray
-    ) -> np.ndarray:
-        """Exact FLC2 rule firing strengths through the engine's batched path."""
-        eng = self._eng2
-        matrix = eng._batch_matrix(
-            {"Cv": corrections, "R": request_bus, "Cs": counters}
-        )
-        return eng._firing_strengths_batch(eng._fill_degrees_batch(matrix))
 
     def _exact_scores(
         self, corrections: np.ndarray, request_bus: np.ndarray, counters: np.ndarray
@@ -518,7 +566,10 @@ class DecisionScreen:
         results are bit-identical because every step is shared.
         """
         eng = self._eng2
-        strengths = self._flc2_strengths(corrections, request_bus, counters)
+        matrix = eng._batch_matrix(
+            {"Cv": corrections, "R": request_bus, "Cs": counters}
+        )
+        strengths = eng._firing_strengths_batch(eng._fill_degrees_batch(matrix))
         grouped = eng._grouped_consequent_plans["AR"]
         variable = eng._consequent_plans["AR"][2]
         aggregated = eng._aggregate_output_batch_grouped(strengths, grouped, "AR", 0)

@@ -11,6 +11,13 @@ equal the per-``Call`` object oracle.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -112,6 +119,7 @@ def test_table_info_counts_built_tables(system, columns):
     assert screen is not None
     info = screen.table_info()
     assert (info.tables, info.cells, info.ambiguous_cells) == (0, 0, 0)
+    assert (info.rows_screened, info.rows_exact_flc1, info.rows_exact_flc2) == (0, 0, 0)
     assert info.build_seconds >= 0.0
 
     speeds, angles, distances, bus = columns
@@ -127,9 +135,128 @@ def test_table_info_counts_built_tables(system, columns):
     assert info.cells > 2 * 256
     assert 0 <= info.ambiguous_cells < info.cells
     assert info.build_seconds > 0.0
-    # Deciding again reuses the tables.
+    assert info.rows_screened == speeds.size
+    assert 0 <= info.rows_exact_flc2 <= info.rows_exact_flc1 < info.rows_screened
+    # Deciding again reuses the tables; only the row counter moves.
     screen.decide(np.array([30.0]), np.array([0.0]), np.array([2.0]), np.array([1.0]), 7.0)
-    assert screen.table_info() == info
+    assert screen.table_info() == dataclasses.replace(
+        info, rows_screened=info.rows_screened + 1
+    )
+
+
+#: Keys whose score sits within a few 1e-6 of the threshold over a whole
+#: Cv band near 0.5: the tables that used to exhaust the split budget.
+HARD_KEYS = [(1.0, 21.0), (5.0, 21.0), (1.0, 39.0), (5.0, 30.0), (10.0, 35.0)]
+
+
+@pytest.mark.parametrize("key", HARD_KEYS)
+def test_hard_key_cells_agree_with_exact_scores(system, key):
+    """Decided cells hold densely: the pinned band and every cell edge ±1 ulp."""
+    edges, decision, _, _ = system.decision_screen._cell_table(*key)
+
+    def verdicts(cv):
+        cell = np.clip(np.searchsorted(edges, cv, side="right") - 1, 0, edges.size - 2)
+        return decision[cell]
+
+    uniform = np.random.default_rng(15).uniform(0.0, 1.0, 20_000)
+    # Not vacuous: the ambiguous bands are a small part of the Cv range.
+    assert (verdicts(uniform) != -1).mean() > 0.8
+    cv = np.concatenate(
+        (
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            np.linspace(0.5, 0.52, 20_001),
+            uniform,
+        )
+    )
+    cv = np.unique(np.clip(cv, 0.0, 1.0))
+    verdict = verdicts(cv)
+    bandwidth, occupancy = key
+    exact = system.flc2.decision_scores(
+        cv, np.full(cv.size, bandwidth), np.full(cv.size, occupancy)
+    )
+    decided = verdict != -1
+    np.testing.assert_array_equal(
+        verdict[decided] == 1, exact[decided] > system.config.acceptance_threshold
+    )
+
+
+def test_cell_tables_stay_compact(system):
+    """Refinement stops at bands the bounds cannot resolve at affordable width."""
+    screen = system.decision_screen
+    cells = sum(
+        screen._cell_table(bandwidth, float(occupancy))[1].size
+        for bandwidth in BANDWIDTHS
+        for occupancy in OCCUPANCIES
+    )
+    assert cells < 200_000
+
+
+def test_row_counters_match_exact_fallbacks(system, columns, monkeypatch):
+    screen = DecisionScreen.build(system.flc1, system.flc2, system.config.acceptance_threshold)
+    exact_rows = []
+    exact_scores = screen._exact_scores
+
+    def counting_exact_scores(corrections, request_bus, counters):
+        exact_rows.append(corrections.size)
+        return exact_scores(corrections, request_bus, counters)
+
+    monkeypatch.setattr(screen, "_exact_scores", counting_exact_scores)
+    speeds, angles, distances, bus = columns
+    speeds = np.clip(speeds, *PAPER_SPEED_RANGE_KMH)
+    distances = np.clip(distances, *PAPER_DISTANCE_RANGE_KM)
+    for occupancy in (7.0, 21.0, 35.0):
+        screen.decide(speeds, angles, distances, bus, occupancy)
+    info = screen.table_info()
+    assert info.rows_screened == 3 * speeds.size
+    assert info.rows_exact_flc2 == sum(exact_rows) > 0
+    assert info.rows_exact_flc2 <= info.rows_exact_flc1 < info.rows_screened
+
+
+def test_concurrent_decides_build_each_table_once(system, columns):
+    """Threads racing on the same (R, Cs) keys share one build per key."""
+    screen = DecisionScreen.build(system.flc1, system.flc2, system.config.acceptance_threshold)
+    builds: Counter = Counter()
+    build = screen._build_cell_table
+
+    def slow_build(bandwidth, occupancy):
+        builds[bandwidth, occupancy] += 1
+        # Hold the build open so the other threads reach the cache check.
+        time.sleep(0.05)
+        return build(bandwidth, occupancy)
+
+    screen._build_cell_table = slow_build
+    speeds, angles, distances, bus = (column[:500] for column in columns)
+    speeds = np.clip(speeds, *PAPER_SPEED_RANGE_KMH)
+    distances = np.clip(distances, *PAPER_DISTANCE_RANGE_KM)
+    bus = np.where(bus == 10.0, 5.0, bus)
+    threads = 4
+    repeats = 100
+    barrier = threading.Barrier(threads, timeout=30)
+
+    def decide(_):
+        barrier.wait()
+        verdict = screen.decide(speeds, angles, distances, bus, 21.0)
+        # Many small decides: a lost counter update would show in the total.
+        for i in range(repeats):
+            row = slice(i, i + 1)
+            screen.decide(speeds[row], angles[row], distances[row], bus[row], 21.0)
+        return verdict
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            verdicts = list(pool.map(decide, range(threads), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert builds == {(1.0, 21.0): 1, (5.0, 21.0): 1}
+    for verdict in verdicts[1:]:
+        np.testing.assert_array_equal(verdict, verdicts[0])
+    info = screen.table_info()
+    assert info.tables == 2
+    assert info.rows_screened == threads * (speeds.size + repeats)
 
 
 def test_reference_engine_has_no_screen(columns):
